@@ -9,17 +9,34 @@
 namespace decor::common {
 
 std::string format_double(double v) {
-  if (std::isnan(v)) return "nan";
-  if (std::isinf(v)) return v > 0.0 ? "inf" : "-inf";
+  std::string out;
+  append_double(out, v);
+  return out;
+}
+
+void append_double(std::string& out, double v) {
+  if (std::isnan(v)) {
+    out += "nan";
+    return;
+  }
+  if (std::isinf(v)) {
+    out += v > 0.0 ? "inf" : "-inf";
+    return;
+  }
   char buf[32];
   const auto res = std::to_chars(buf, buf + sizeof buf, v);
   DECOR_ASSERT(res.ec == std::errc{});
-  return std::string(buf, res.ptr);
+  out.append(buf, res.ptr);
 }
 
 std::string json_escape(std::string_view s) {
   std::string out;
   out.reserve(s.size());
+  append_json_escaped(out, s);
+  return out;
+}
+
+void append_json_escaped(std::string& out, std::string_view s) {
   for (const char c : s) {
     switch (c) {
       case '"':
@@ -48,7 +65,6 @@ std::string json_escape(std::string_view s) {
         }
     }
   }
-  return out;
 }
 
 void JsonWriter::pre_value() {

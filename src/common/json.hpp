@@ -23,10 +23,14 @@ namespace decor::common {
 /// (std::to_chars). NaN renders as "nan" and infinities as "inf"/"-inf";
 /// JSON callers must map those to null (JsonWriter::value does).
 std::string format_double(double v);
+/// format_double appended to `out` (no temporary string).
+void append_double(std::string& out, double v);
 
 /// `s` with JSON string escapes applied (quotes, backslash, control
 /// characters as \u00XX), without surrounding quotes.
 std::string json_escape(std::string_view s);
+/// json_escape appended to `out` (no temporary string).
+void append_json_escaped(std::string& out, std::string_view s);
 
 /// Structure-tracking streaming writer. The caller provides well-formed
 /// nesting (key before every value inside an object); the writer inserts

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
+#include <string_view>
 #include <utility>
 
 #include "common/require.hpp"
@@ -14,14 +14,33 @@ namespace {
 
 namespace fs = std::filesystem;
 
+std::string read_file(const fs::path& path) {
+  std::ifstream f(path, std::ios::binary);
+  std::string text;
+  if (!f) return text;
+  f.seekg(0, std::ios::end);
+  const auto size = f.tellg();
+  f.seekg(0, std::ios::beg);
+  if (size > 0) {
+    text.resize(static_cast<std::size_t>(size));
+    f.read(text.data(), size);
+    text.resize(static_cast<std::size_t>(f.gcount()));
+  }
+  return text;
+}
+
 Artifact load_jsonl(const fs::path& path, const std::string& rel) {
   Artifact a;
   a.rel = rel;
   a.kind = "other";
-  std::ifstream f(path);
-  std::string line;
+  std::string text = read_file(path);
+  const std::string_view view(text);
   bool first = true;
-  while (std::getline(f, line)) {
+  for (std::size_t pos = 0; pos < view.size();) {
+    std::size_t nl = view.find('\n', pos);
+    if (nl == std::string_view::npos) nl = view.size();
+    const std::string_view line = view.substr(pos, nl - pos);
+    pos = nl + 1;
     if (line.empty()) continue;
     auto parsed = common::parse_json(line);
     if (!parsed) {
@@ -42,11 +61,16 @@ Artifact load_jsonl(const fs::path& path, const std::string& rel) {
         continue;
       }
       if (parsed->find("seq") != nullptr && parsed->find("kind") != nullptr) {
+        // A trace dump: index the whole file (the lines already seen are
+        // malformed ones, which the index counts again).
         a.kind = "trace";
+        a.trace = TraceIndex(std::move(text));
+        a.malformed = a.trace.malformed();
+        return a;
       }
     }
     a.records.push_back(std::move(*parsed));
-    a.lines.push_back(line);
+    a.lines.emplace_back(line);
   }
   return a;
 }
@@ -56,10 +80,7 @@ Artifact load_document(const fs::path& path, const std::string& rel,
   Artifact a;
   a.rel = rel;
   a.kind = kind;
-  std::ifstream f(path);
-  std::stringstream buf;
-  buf << f.rdbuf();
-  auto parsed = common::parse_json(buf.str());
+  auto parsed = common::parse_json(read_file(path));
   if (parsed) {
     a.header = std::move(*parsed);
   } else {
@@ -111,11 +132,11 @@ std::vector<ArtifactWarning> collect_artifact_warnings(
   std::vector<ArtifactWarning> warnings;
   for (const auto& a : artifacts) {
     const bool document = a.kind == "manifest" || a.kind == "metrics";
-    if (a.kind == "other" && a.records.empty()) {
+    if (a.kind == "other" && a.record_count() == 0) {
       warnings.push_back({a.rel, a.malformed > 0 ? "unparseable" : "empty"});
       continue;
     }
-    if (!document && a.records.empty()) {
+    if (!document && a.record_count() == 0) {
       warnings.push_back({a.rel, "no records (empty or truncated)"});
       continue;
     }

@@ -8,9 +8,11 @@
 // byte-determinism contract depends on the sort), classifies each by its
 // schema header or record shape, and parses the lines once.
 //
-// Raw line text is retained alongside the parsed records so replay-style
-// consumers (the dashboard ingests verbatim JSONL lines) and tree-style
-// consumers (the report walks parsed values) share one loader.
+// Trace dumps, which dwarf every other artifact, are read in one piece
+// into a typed TraceIndex. The small streams keep a parsed tree per line,
+// with the raw line text alongside, so replay-style consumers (the
+// dashboard ingests verbatim JSONL lines) and tree-style consumers (the
+// report walks parsed values) share one loader.
 #pragma once
 
 #include <cstddef>
@@ -18,6 +20,7 @@
 #include <vector>
 
 #include "common/json.hpp"
+#include "decor/trace_index.hpp"
 
 namespace decor::core {
 
@@ -33,9 +36,16 @@ struct Artifact {
   std::string kind;
   common::JsonValue header;  ///< schema line, or the whole document
   std::string header_line;   ///< raw schema line text ("" when none)
-  std::vector<common::JsonValue> records;  ///< parsed data lines, file order
+  /// Parsed data lines, file order (every kind but "trace").
+  std::vector<common::JsonValue> records;
   std::vector<std::string> lines;  ///< raw text of `records`, same order
+  TraceIndex trace;                ///< the records of a "trace" artifact
   std::size_t malformed = 0;       ///< unparseable lines, skipped
+
+  /// Data records, whichever form holds them.
+  std::size_t record_count() const noexcept {
+    return records.size() + trace.size();
+  }
 };
 
 /// Artifacts that cannot contribute anything to a consumer: a file with

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <map>
 #include <sstream>
+#include <unordered_map>
 #include <utility>
 
 #include "net/messages.hpp"
@@ -29,26 +30,13 @@ std::string str_at(const JsonValue& obj, std::string_view key) {
   return v != nullptr ? v->as_string() : std::string();
 }
 
-/// `from=N` sender in an rx/drop detail string, or -1 when absent.
-std::int64_t parse_detail_from(std::string_view detail) {
-  const auto pos = detail.find("from=");
-  if (pos == std::string_view::npos) return -1;
-  std::int64_t v = 0;
-  bool any = false;
-  for (std::size_t i = pos + 5; i < detail.size(); ++i) {
-    const char c = detail[i];
-    if (c < '0' || c > '9') break;
-    v = v * 10 + (c - '0');
-    any = true;
-  }
-  return any ? v : -1;
-}
-
 double median_of(std::vector<double> v) {
   if (v.empty()) return 0.0;
-  std::sort(v.begin(), v.end());
   const std::size_t n = v.size();
-  return n % 2 == 1 ? v[n / 2] : 0.5 * (v[n / 2 - 1] + v[n / 2]);
+  const auto mid = v.begin() + static_cast<std::ptrdiff_t>(n / 2);
+  std::nth_element(v.begin(), mid, v.end());
+  // For even n the lower middle is the largest element left of `mid`.
+  return n % 2 == 1 ? *mid : 0.5 * (*std::max_element(v.begin(), mid) + *mid);
 }
 
 /// Lebesgue measure of the union of [lo, hi] intervals.
@@ -79,10 +67,26 @@ struct SpanAgg {
   std::uint32_t origin = 0;
   bool have_origin = false;
   bool started = false;
-  std::uint64_t retransmits = 0;
   /// Last tx time per transmitting node (the rx side joins against the
-  /// sender's most recent send to measure per-link latency).
-  std::map<std::uint32_t, double> last_tx;
+  /// sender's most recent send to measure per-link latency). Few nodes
+  /// transmit within one exchange, so a flat list beats a tree.
+  std::vector<std::pair<std::uint32_t, double>> last_tx;
+
+  void note_tx(std::uint32_t node, double t) {
+    for (auto& [n, last] : last_tx) {
+      if (n == node) {
+        last = t;
+        return;
+      }
+    }
+    last_tx.emplace_back(node, t);
+  }
+  const double* last_tx_of(std::uint32_t node) const {
+    for (const auto& [n, last] : last_tx) {
+      if (n == node) return &last;
+    }
+    return nullptr;
+  }
 };
 
 struct NodeAgg {
@@ -138,14 +142,14 @@ ExplainDoc analyze_run(const std::vector<Artifact>& artifacts,
   } else {
     doc.warnings.push_back("no decor.timeline.v1 artifact");
   }
-  if (trace != nullptr) {
-    doc.trace_records = trace->records.size();
-    for (const auto& r : trace->records) {
-      const double t = num_at(r, "t");
-      max_t = std::max(max_t, t);
-      if (!doc.converged && str_at(r, "kind") == "protocol" &&
-          str_at(r, "detail") == "converged") {
-        doc.convergence_time = t;
+  const TraceIndex* index = trace != nullptr ? &trace->trace : nullptr;
+  if (index != nullptr) {
+    doc.trace_records = index->size();
+    for (const auto& r : index->records()) {
+      max_t = std::max(max_t, r.t);
+      if (!doc.converged && r.kind == TraceRecordKind::kProtocol &&
+          index->detail(r) == "converged") {
+        doc.convergence_time = r.t;
         doc.converged = true;
       }
     }
@@ -269,20 +273,26 @@ ExplainDoc analyze_run(const std::vector<Artifact>& artifacts,
   }
 
   // --- trace pass: spans, node stats, link stats --------------------------
-  std::map<std::uint64_t, SpanAgg> spans;
-  std::map<std::uint32_t, NodeAgg> nodes;
-  std::map<std::pair<std::uint32_t, std::uint32_t>, LinkAgg> links;
-  if (trace != nullptr) {
-    for (const auto& r : trace->records) {
-      const std::string kind = str_at(r, "kind");
-      const double t = num_at(r, "t");
-      const auto node = static_cast<std::uint32_t>(num_at(r, "node"));
-      const std::string detail = str_at(r, "detail");
-      if (kind == "protocol") {
-        if (detail.rfind("dead-peer=", 0) == 0) ++nodes[node].dead_peers;
+  // Hashed, not ordered: every result drawn from these is a median or a
+  // list sorted under a total order below, so iteration order never
+  // reaches the output.
+  std::unordered_map<std::uint64_t, SpanAgg> spans;
+  std::unordered_map<std::uint32_t, NodeAgg> nodes;
+  std::unordered_map<std::uint64_t, LinkAgg> links;  // key: src << 32 | dst
+  const auto link_key = [](std::int64_t from, std::uint32_t to) {
+    return static_cast<std::uint64_t>(static_cast<std::uint32_t>(from)) << 32 |
+           to;
+  };
+  if (index != nullptr) {
+    for (const auto& r : index->records()) {
+      const double t = r.t;
+      const std::uint32_t node = r.node;
+      const std::string_view detail = index->detail(r);
+      if (r.kind == TraceRecordKind::kProtocol) {
+        if (detail.starts_with("dead-peer=")) ++nodes[node].dead_peers;
         continue;
       }
-      const auto tid = u64_at(r, "trace");
+      const std::uint64_t tid = r.trace;
       SpanAgg* span = nullptr;
       if (tid != 0) {
         span = &spans[tid];
@@ -293,7 +303,7 @@ ExplainDoc analyze_run(const std::vector<Artifact>& artifacts,
         }
         span->last_t = std::max(span->last_t, t);
       }
-      if (kind == "tx") {
+      if (r.kind == TraceRecordKind::kTx) {
         ++nodes[node].tx;
         if (span != nullptr) {
           if (!span->have_origin) {
@@ -302,30 +312,29 @@ ExplainDoc analyze_run(const std::vector<Artifact>& artifacts,
             ++nodes[node].origin_sends;
           } else if (node == span->origin &&
                      sim::parse_detail_kind(detail) != net::kAck) {
-            ++span->retransmits;
             ++nodes[node].retx;
           }
-          span->last_tx[node] = t;
+          span->note_tx(node, t);
         }
-      } else if (kind == "rx") {
+      } else if (r.kind == TraceRecordKind::kRx) {
         const std::int64_t from = parse_detail_from(detail);
         if (from >= 0) {
-          auto& link = links[{static_cast<std::uint32_t>(from), node}];
+          auto& link = links[link_key(from, node)];
           ++link.delivered;
           if (span != nullptr) {
-            const auto it =
-                span->last_tx.find(static_cast<std::uint32_t>(from));
-            if (it != span->last_tx.end() && t >= it->second) {
-              link.latencies.push_back(t - it->second);
+            const double* sent =
+                span->last_tx_of(static_cast<std::uint32_t>(from));
+            if (sent != nullptr && t >= *sent) {
+              link.latencies.push_back(t - *sent);
             }
           }
         }
-      } else if (kind == "drop") {
+      } else if (r.kind == TraceRecordKind::kDrop) {
         ++nodes[node].drops;
-        if (detail.rfind("crc", 0) == 0) {
+        if (detail.starts_with("crc")) {
           const std::int64_t from = parse_detail_from(detail);
           if (from >= 0) {
-            ++links[{static_cast<std::uint32_t>(from), node}].crc_drops;
+            ++links[link_key(from, node)].crc_drops;
           }
         }
       }
@@ -374,7 +383,7 @@ ExplainDoc analyze_run(const std::vector<Artifact>& artifacts,
     if (doc.closing_placement.trace_id == 0) {
       doc.warnings.push_back(
           "closing placement carries no causality id (trace_id=0)");
-    } else if (trace == nullptr) {
+    } else if (index == nullptr) {
       // Already warned about the missing trace artifact.
     } else {
       auto& ex = doc.exchange;
@@ -382,12 +391,11 @@ ExplainDoc analyze_run(const std::vector<Artifact>& artifacts,
       bool have_origin = false;
       std::uint32_t origin = 0;
       double last_retx_t = 0.0;
-      for (const auto& r : trace->records) {
-        if (u64_at(r, "trace") != ex.trace_id) continue;
-        const std::string kind = str_at(r, "kind");
-        const double t = num_at(r, "t");
-        const auto node = static_cast<std::uint32_t>(num_at(r, "node"));
-        const std::string detail = str_at(r, "detail");
+      for (const auto& r : index->records()) {
+        if (r.trace != ex.trace_id) continue;
+        const double t = r.t;
+        const std::uint32_t node = r.node;
+        const std::string_view detail = index->detail(r);
         if (!ex.present) {
           ex.present = true;
           ex.first_t = t;
@@ -398,7 +406,7 @@ ExplainDoc analyze_run(const std::vector<Artifact>& artifacts,
         leg.t = t;
         leg.dt = t - ex.first_t;
         leg.node = node;
-        if (kind == "tx") {
+        if (r.kind == TraceRecordKind::kTx) {
           const bool is_ack = sim::parse_detail_kind(detail) == net::kAck;
           if (!have_origin) {
             have_origin = true;
@@ -414,12 +422,12 @@ ExplainDoc analyze_run(const std::vector<Artifact>& artifacts,
           } else {
             leg.leg = "forward";
           }
-        } else if (kind == "rx") {
+        } else if (r.kind == TraceRecordKind::kRx) {
           leg.leg = sim::parse_detail_kind(detail) == net::kAck ? "ack-rx"
                                                                 : "rx";
           leg.from = parse_detail_from(detail);
           if (leg.leg == "ack-rx") ex.completed = true;
-        } else if (kind == "drop") {
+        } else if (r.kind == TraceRecordKind::kDrop) {
           leg.leg = "drop";
           leg.from = parse_detail_from(detail);
         } else {
@@ -486,8 +494,8 @@ ExplainDoc analyze_run(const std::vector<Artifact>& artifacts,
 
     for (auto& [key, l] : links) {
       ExplainLinkHealth h;
-      h.src = key.first;
-      h.dst = key.second;
+      h.src = static_cast<std::uint32_t>(key >> 32);
+      h.dst = static_cast<std::uint32_t>(key);
       h.delivered = l.delivered;
       h.crc_drops = l.crc_drops;
       h.median_latency = median_of(std::move(l.latencies));

@@ -355,25 +355,24 @@ void render_trace_section(std::ostream& os, const Artifact& a) {
   std::map<std::string, std::uint64_t> tx_by_kind;
   std::uint64_t tx = 0, rx = 0, drops = 0, acks = 0;
   double convergence = -1.0;
-  for (const auto& r : a.records) {
-    const std::string kind = str_at(r, "kind");
-    if (kind == "protocol") {
-      if (str_at(r, "detail") == "converged" && convergence < 0.0) {
-        convergence = num_at(r, "t");
+  for (const auto& r : a.trace.records()) {
+    if (r.kind == TraceRecordKind::kProtocol) {
+      if (a.trace.detail(r) == "converged" && convergence < 0.0) {
+        convergence = r.t;
       }
       continue;
     }
-    if (kind == "rx") {
+    if (r.kind == TraceRecordKind::kRx) {
       ++rx;
       continue;
     }
-    if (kind == "drop") {
+    if (r.kind == TraceRecordKind::kDrop) {
       ++drops;
       continue;
     }
-    if (kind != "tx") continue;
+    if (r.kind != TraceRecordKind::kTx) continue;
     ++tx;
-    const int mk = sim::parse_detail_kind(str_at(r, "detail"));
+    const int mk = sim::parse_detail_kind(a.trace.detail(r));
     if (mk == net::kAck) {
       ++acks;
       continue;
@@ -381,7 +380,7 @@ void render_trace_section(std::ostream& os, const Artifact& a) {
     const char* name = net::msg_kind_name(mk);
     ++tx_by_kind[name != nullptr ? name : "kind-" + std::to_string(mk)];
   }
-  os << "<p>" << a.records.size() << " records: " << tx << " tx (" << acks
+  os << "<p>" << a.trace.size() << " records: " << tx << " tx (" << acks
      << " acks), " << rx << " rx, " << drops << " dropped";
   if (convergence >= 0.0) {
     os << "; converged at t=" << fmt(convergence) << " s";
@@ -587,7 +586,7 @@ void render_run_body(std::ostream& os, const std::vector<Artifact>& artifacts,
     os << "<tr><td>" << html_escape(a.rel) << "</td><td>" << a.kind
        << "</td><td>"
        << (a.kind == "manifest" || a.kind == "metrics" ? 1
-                                                       : a.records.size())
+                                                       : a.record_count())
        << "</td><td>" << a.malformed << "</td></tr>\n";
   }
   os << "</table>\n";
@@ -661,7 +660,7 @@ RunSummary summarize_run(const std::vector<Artifact>& artifacts) {
     } else if (a.kind == "audit") {
       s.audit_records += a.records.size();
     } else if (a.kind == "trace") {
-      s.trace_records += a.records.size();
+      s.trace_records += a.trace.size();
     }
   }
   return s;

@@ -42,7 +42,14 @@ bool write_flight_bundle(const std::string& dir, const FlightBundleInfo& info,
   {
     std::ofstream out;
     if (!open_for_write(root / "trace.jsonl", out)) return false;
-    for (const auto& r : records) out << trace_record_json(r) << "\n";
+    std::string line;
+    for (const auto& r : records) {
+      line.clear();
+      append_trace_record_json(line, r.seq, r.at, r.kind, r.node, r.trace_id,
+                               r.detail);
+      line += '\n';
+      out << line;
+    }
   }
 
   std::size_t timeline_written = 0;

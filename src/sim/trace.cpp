@@ -1,5 +1,7 @@
 #include "sim/trace.hpp"
 
+#include <charconv>
+
 #include "common/json.hpp"
 #include "common/log.hpp"
 #include "common/require.hpp"
@@ -68,21 +70,32 @@ void Trace::close_jsonl() {
   file_sink_ = 0;
 }
 
-std::string trace_record_json(const TraceRecord& r) {
-  std::string out = "{\"seq\":";
-  out += std::to_string(r.seq);
+namespace {
+
+void append_uint(std::string& out, std::uint64_t v) {
+  char buf[20];
+  const auto res = std::to_chars(buf, buf + sizeof buf, v);
+  out.append(buf, res.ptr);
+}
+
+}  // namespace
+
+void append_trace_record_json(std::string& out, std::uint64_t seq, Time at,
+                              TraceKind kind, std::uint32_t node,
+                              std::uint64_t trace_id, std::string_view detail) {
+  out += "{\"seq\":";
+  append_uint(out, seq);
   out += ",\"t\":";
-  out += common::format_double(r.at);
+  common::append_double(out, at);
   out += ",\"kind\":\"";
-  out += trace_kind_name(r.kind);
+  out += trace_kind_name(kind);
   out += "\",\"node\":";
-  out += std::to_string(r.node);
+  append_uint(out, node);
   out += ",\"trace\":";
-  out += std::to_string(r.trace_id);
+  append_uint(out, trace_id);
   out += ",\"detail\":\"";
-  out += common::json_escape(r.detail);
+  common::append_json_escaped(out, detail);
   out += "\"}";
-  return out;
 }
 
 void Trace::record(Time at, TraceKind kind, std::uint32_t node,
@@ -90,9 +103,9 @@ void Trace::record(Time at, TraceKind kind, std::uint32_t node,
   if (!enabled_) return;
   const std::uint64_t seq = ++total_;
   if (bus_ && bus_->has_sink_for(common::TelemetryStream::kTrace)) {
-    bus_->publish(common::TelemetryStream::kTrace,
-                  trace_record_json(
-                      TraceRecord{at, kind, node, detail, trace_id, seq}));
+    line_.clear();
+    append_trace_record_json(line_, seq, at, kind, node, trace_id, detail);
+    bus_->publish(common::TelemetryStream::kTrace, line_);
   }
   if (capacity_ == 0 || records_.size() < capacity_) {
     records_.push_back(

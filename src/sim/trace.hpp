@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/telemetry.hpp"
@@ -34,11 +35,12 @@ enum class TraceKind : int {
 /// JSONL sink and anything else that serializes records.
 const char* trace_kind_name(TraceKind kind) noexcept;
 
-struct TraceRecord;
-
-/// Serializes one record as a trace JSONL line (no trailing newline);
-/// shared by the live sink and the flight recorder.
-std::string trace_record_json(const TraceRecord& r);
+/// Appends one record as a trace JSONL line (no trailing newline) to
+/// `out`: {"seq":1,"t":...,"kind":"tx","node":3,"trace":7,"detail":"..."}.
+/// Shared by the live sink and the flight recorder.
+void append_trace_record_json(std::string& out, std::uint64_t seq, Time at,
+                              TraceKind kind, std::uint32_t node,
+                              std::uint64_t trace_id, std::string_view detail);
 
 struct TraceRecord {
   Time at = 0.0;
@@ -119,6 +121,7 @@ class Trace {
   common::TelemetryBus* bus_ = nullptr;
   std::unique_ptr<common::TelemetryBus> owned_bus_;
   common::TelemetryBus::SinkId file_sink_ = 0;
+  std::string line_;  // reused serialization buffer for the bus
 };
 
 }  // namespace decor::sim

@@ -1,6 +1,6 @@
 #include "sim/trace_export.hpp"
 
-#include <cstdlib>
+#include <limits>
 #include <map>
 #include <set>
 
@@ -46,9 +46,27 @@ void write_instant(std::ostream& os, const std::string& name, Time at,
 
 }  // namespace
 
-int parse_detail_kind(const std::string& detail) noexcept {
-  if (detail.rfind("kind=", 0) != 0) return -1;
-  return std::atoi(detail.c_str() + 5);
+int parse_detail_kind(std::string_view detail) noexcept {
+  if (!detail.starts_with("kind=")) return -1;
+  std::size_t i = 5;
+  while (i < detail.size() && (detail[i] == ' ' ||
+                               (detail[i] >= '\t' && detail[i] <= '\r'))) {
+    ++i;
+  }
+  const bool negative = i < detail.size() && detail[i] == '-';
+  if (i < detail.size() && (detail[i] == '-' || detail[i] == '+')) ++i;
+  // strtol semantics (what atoi forwards to): saturate, then narrow.
+  constexpr long kMax = std::numeric_limits<long>::max();
+  long v = 0;
+  bool overflow = false;
+  for (; i < detail.size() && detail[i] >= '0' && detail[i] <= '9'; ++i) {
+    const int d = detail[i] - '0';
+    overflow = overflow || v > (kMax - d) / 10;
+    if (!overflow) v = v * 10 + d;
+  }
+  if (overflow) v = negative ? std::numeric_limits<long>::min() : kMax;
+  else if (negative) v = -v;
+  return static_cast<int>(v);
 }
 
 void write_chrome_trace(const std::vector<TraceRecord>& records,

@@ -13,6 +13,7 @@
 #include <functional>
 #include <ostream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "sim/trace.hpp"
@@ -33,7 +34,8 @@ void write_chrome_trace(const std::vector<TraceRecord>& records,
                         int ack_kind = -1);
 
 /// Parses the "kind=N" prefix convention of tx/rx/drop details; returns
-/// -1 when absent.
-int parse_detail_kind(const std::string& detail) noexcept;
+/// -1 when absent. The digits read like std::atoi: leading whitespace and
+/// a sign are accepted, and parsing stops at the first non-digit.
+int parse_detail_kind(std::string_view detail) noexcept;
 
 }  // namespace decor::sim

@@ -12,6 +12,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -19,6 +20,7 @@
 #include "common/require.hpp"
 #include "decor/artifacts.hpp"
 #include "decor/explain.hpp"
+#include "decor/run_report.hpp"
 #include "decor/sim_runner.hpp"
 #include "geometry/point.hpp"
 #include "geometry/rect.hpp"
@@ -50,6 +52,33 @@ TEST(Explain, GoldenRunIsByteDeterministic) {
   EXPECT_EQ(ja.back(), '\n');
   // No absolute paths or wall-clock stamps may leak into the document.
   EXPECT_EQ(ja.find(golden_dir()), std::string::npos);
+}
+
+std::string read_file(const std::string& path) {
+  std::ifstream f(path, std::ios::binary);
+  std::stringstream buf;
+  buf << f.rdbuf();
+  return buf.str();
+}
+
+// The expected files next to the golden run were generated before the
+// trace reader became a typed index (`decor explain <dir> --out=...`,
+// `decor report html <dir> --out=...`); the index must reproduce them
+// byte for byte.
+TEST(Explain, GoldenRunMatchesPinnedDocument) {
+  const std::string expected =
+      read_file(std::string(golden_dir()) + "/expected_explain.json");
+  ASSERT_FALSE(expected.empty());
+  EXPECT_EQ(core::explain_to_json(core::explain_run_dir(golden_dir())),
+            expected);
+}
+
+TEST(Explain, GoldenRunReportMatchesPinnedHtml) {
+  const std::string expected =
+      read_file(std::string(golden_dir()) + "/expected_report.html");
+  ASSERT_FALSE(expected.empty());
+  EXPECT_EQ(core::render_run_report_html(std::string(golden_dir())),
+            expected);
 }
 
 TEST(Explain, GoldenRunRoundTripsThroughJson) {

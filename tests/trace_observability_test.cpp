@@ -144,8 +144,9 @@ TEST(TraceSeq, MonotoneAcrossRingWraparound) {
 }
 
 TEST(TraceSeq, JsonlCarriesSeqAndTraceId) {
-  const sim::TraceRecord r{1.5, sim::TraceKind::kTx, 3, "kind=5", 7, 42};
-  const std::string line = sim::trace_record_json(r);
+  std::string line;
+  sim::append_trace_record_json(line, 42, 1.5, sim::TraceKind::kTx, 3, 7,
+                                "kind=5");
   EXPECT_NE(line.find("\"seq\":42"), std::string::npos);
   EXPECT_NE(line.find("\"trace\":7"), std::string::npos);
   EXPECT_NE(line.find("\"kind\":\"tx\""), std::string::npos);

@@ -1,13 +1,16 @@
 # Observability smoke: a lossy sim run with --trace-perfetto must emit a
 # Perfetto-loadable trace_event document, `decor trace report` must parse
-# both the Perfetto document and the raw trace JSONL, and an unopenable
-# --trace-jsonl sink must fail the run with a nonzero exit (not a silent
-# empty artifact).
+# the raw trace JSONL (and refuse the Perfetto export with a one-line
+# error: JSONL is the source of truth), its report on the committed golden
+# trace must match the pinned expectation byte for byte, and an
+# unopenable --trace-jsonl sink must fail the run with a nonzero exit (not
+# a silent empty artifact).
 #
 # Invoked by ctest as:
-#   cmake -DBIN=<decor_cli> -DOUT=<scratch dir> -P trace_smoke.cmake
-if(NOT DEFINED BIN OR NOT DEFINED OUT)
-  message(FATAL_ERROR "trace_smoke.cmake needs -DBIN= and -DOUT=")
+#   cmake -DBIN=<decor_cli> -DOUT=<scratch dir> -DGOLDEN=<tests/golden>
+#         -P trace_smoke.cmake
+if(NOT DEFINED BIN OR NOT DEFINED OUT OR NOT DEFINED GOLDEN)
+  message(FATAL_ERROR "trace_smoke.cmake needs -DBIN=, -DOUT= and -DGOLDEN=")
 endif()
 
 set(perfetto ${OUT}/trace_smoke.perfetto.json)
@@ -49,22 +52,49 @@ if(pos EQUAL -1)
   message(FATAL_ERROR "${jsonl} has no seq-stamped records")
 endif()
 
-# `trace report` must reconstruct the run from either artifact alone.
-foreach(dump ${perfetto} ${jsonl})
-  execute_process(
-    COMMAND ${BIN} trace report ${dump}
-    RESULT_VARIABLE rc
-    OUTPUT_VARIABLE report)
-  if(NOT rc EQUAL 0)
-    message(FATAL_ERROR "decor_cli trace report ${dump} failed (rc=${rc})")
+# `trace report` must reconstruct the run from the JSONL dump alone.
+execute_process(
+  COMMAND ${BIN} trace report ${jsonl}
+  RESULT_VARIABLE rc
+  OUTPUT_VARIABLE report)
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR "decor_cli trace report ${jsonl} failed (rc=${rc})")
+endif()
+foreach(needle "records:" "retransmits:")
+  string(FIND "${report}" "${needle}" pos)
+  if(pos EQUAL -1)
+    message(FATAL_ERROR "trace report on ${jsonl} is missing '${needle}'")
   endif()
-  foreach(needle "records:" "retransmits:")
-    string(FIND "${report}" "${needle}" pos)
-    if(pos EQUAL -1)
-      message(FATAL_ERROR "trace report on ${dump} is missing '${needle}'")
-    endif()
-  endforeach()
 endforeach()
+
+# The Perfetto export is output only: reading it back is a clean error
+# that names the expected input.
+execute_process(
+  COMMAND ${BIN} trace report ${perfetto}
+  RESULT_VARIABLE rc
+  OUTPUT_VARIABLE report
+  ERROR_VARIABLE err)
+if(rc EQUAL 0)
+  message(FATAL_ERROR "trace report must refuse a Perfetto export")
+endif()
+string(FIND "${err}" "is a Perfetto export; decor trace report reads trace JSONL"
+       pos)
+if(pos EQUAL -1)
+  message(FATAL_ERROR "trace report on a Perfetto export printed: ${err}")
+endif()
+
+# The report on the committed golden trace is pinned byte for byte (the
+# expectation was generated before the trace reader became a typed index).
+execute_process(
+  COMMAND ${BIN} trace report trace.jsonl
+  WORKING_DIRECTORY ${GOLDEN}/explain_run
+  RESULT_VARIABLE rc
+  OUTPUT_VARIABLE report)
+file(READ ${GOLDEN}/explain_run/expected_trace_report.txt expected)
+if(NOT rc EQUAL 0 OR NOT report STREQUAL expected)
+  message(FATAL_ERROR "trace report on the golden trace (rc=${rc}) differs "
+                      "from expected_trace_report.txt:\n${report}")
+endif()
 
 # A truncated tail (crash mid-write) must be skipped and counted, never
 # fatal: append a garbled line and expect a clean report that says so.

@@ -8,7 +8,7 @@
 //   connectivity  deploy and measure communication-graph connectivity
 //   lifetime      duty-cycled sleep scheduling on a k-covered network
 //   peas          PEAS baseline working-set formation
-//   trace report  summarize a trace dump (JSONL or Perfetto JSON)
+//   trace report  summarize a trace JSONL dump or a run dir's trace
 //   report html   render one or more run directories as one HTML file
 //   watch         live TUI dashboard (run dir replay, DTLM capture, or
 //                 `watch -- sim ...` to spawn and follow a live run)
@@ -863,38 +863,12 @@ int cmd_connectivity(const common::Options& opts, CliReport& rep) {
   return 0;
 }
 
-/// Extracts the raw value of `"key":` from a single-line JSON object
-/// (strings are unquoted and unescaped, numbers returned verbatim). Good
-/// enough for the repo's own writers, which emit one object per line.
-bool json_field(const std::string& line, const std::string& key,
-                std::string& out) {
-  const std::string pat = "\"" + key + "\":";
-  const auto p = line.find(pat);
-  if (p == std::string::npos) return false;
-  std::size_t i = p + pat.size();
-  if (i >= line.size()) return false;
-  if (line[i] == '"') {
-    std::string s;
-    for (std::size_t j = i + 1; j < line.size() && line[j] != '"'; ++j) {
-      if (line[j] == '\\' && j + 1 < line.size()) ++j;
-      s += line[j];
-    }
-    out = std::move(s);
-    return true;
-  }
-  std::size_t j = i;
-  while (j < line.size() && line[j] != ',' && line[j] != '}') ++j;
-  out = line.substr(i, j - i);
-  return true;
-}
-
 /// `decor trace report <dump>` — reconstructs protocol-level statistics
 /// (per-kind send counts, retransmit ratio, convergence time, slowest
-/// exchanges) from a trace dump alone: either a decor trace JSONL file
-/// (--trace-jsonl / flight-recorder trace.jsonl) or a Perfetto export
-/// (--trace-perfetto). The format is sniffed from the first line. A run
-/// directory is also accepted: the shared artifact loader classifies its
-/// files and the trace artifact is reported.
+/// exchanges) from a trace JSONL dump alone (--trace-jsonl or a flight
+/// bundle's trace.jsonl). A run directory is also accepted: the shared
+/// artifact loader classifies its files and the trace artifact is
+/// reported. Perfetto exports are output only and are refused here.
 int cmd_trace_report(const common::Options& opts, CliReport& rep) {
   std::string path = opts.get("in", "");
   const auto& pos = opts.positional();
@@ -902,30 +876,40 @@ int cmd_trace_report(const common::Options& opts, CliReport& rep) {
   // "report" and [1] the dump path.
   if (path.empty() && pos.size() >= 2) path = pos[1];
   if (path.empty()) {
-    std::cerr << "usage: decor trace report <dump.jsonl|trace.json|run-dir> "
-                 "[--top=N]\n";
+    std::cerr << "usage: decor trace report <dump.jsonl|run-dir> [--top=N]\n";
     return 1;
   }
+  core::TraceIndex index;
   std::error_code dir_ec;
   if (std::filesystem::is_directory(path, dir_ec)) {
-    const auto artifacts = core::load_run_artifacts(path, "trace report");
-    const core::Artifact* trace = nullptr;
-    for (const auto& a : artifacts) {
-      if (a.kind == "trace") {
-        trace = &a;
-        break;
-      }
-    }
-    if (trace == nullptr) {
+    auto artifacts = core::load_run_artifacts(path, "trace report");
+    const auto trace = std::find_if(
+        artifacts.begin(), artifacts.end(),
+        [](const core::Artifact& a) { return a.kind == "trace"; });
+    if (trace == artifacts.end()) {
       std::cerr << "error: " << path << " holds no trace artifact\n";
       return 1;
     }
     path = (std::filesystem::path(path) / trace->rel).string();
-  }
-  std::ifstream f(path);
-  if (!f.is_open()) {
-    std::cerr << "error: cannot open " << path << "\n";
-    return 1;
+    index = std::move(trace->trace);
+  } else {
+    std::ifstream f(path, std::ios::binary);
+    if (!f.is_open()) {
+      std::cerr << "error: cannot open " << path << "\n";
+      return 1;
+    }
+    std::ostringstream buf;
+    buf << f.rdbuf();
+    std::string text = std::move(buf).str();
+    if (text.substr(0, text.find('\n')).find("\"traceEvents\"") !=
+        std::string::npos) {
+      std::cerr << "error: " << path
+                << " is a Perfetto export; decor trace report reads trace "
+                   "JSONL (--trace-jsonl, a flight bundle's trace.jsonl or "
+                   "a run dir)\n";
+      return 1;
+    }
+    index = core::TraceIndex(std::move(text));
   }
 
   struct Span {
@@ -941,111 +925,46 @@ int cmd_trace_report(const common::Options& opts, CliReport& rep) {
   std::map<std::uint64_t, Span> spans;
   std::map<std::string, std::uint64_t> kind_counts;
   std::uint64_t records = 0, retransmits = 0, acks = 0, drops = 0;
-  std::uint64_t malformed = 0;
+  const std::uint64_t malformed = index.malformed();
   double convergence = -1.0;
-  bool chrome = false;
-  bool first_line = true;
-  std::string line;
 
-  auto touch = [](Span& s, double t) {
+  // A trace dump survives crashes and kills, so its tail can hold a
+  // truncated or garbled line: the index skips and counts it, never
+  // fatal. Lines without a string "kind" (foreign records) are ignored.
+  for (const auto& r : index.records()) {
+    if (r.kind == core::TraceRecordKind::kNone) continue;
+    ++records;
+    const std::string_view detail = index.detail(r);
+    if (r.kind == core::TraceRecordKind::kProtocol) {
+      if (detail == "converged" && convergence < 0.0) convergence = r.t;
+      continue;
+    }
+    if (r.trace == 0) continue;  // pre-causality or unstamped record
+    auto& s = spans[r.trace];
     if (!s.started) {
       s.started = true;
-      s.first_t = t;
-      s.last_t = t;
+      s.first_t = r.t;
+      s.last_t = r.t;
     }
-    s.last_t = std::max(s.last_t, t);
-  };
-
-  while (std::getline(f, line)) {
-    if (first_line) {
-      first_line = false;
-      chrome = line.find("\"traceEvents\"") != std::string::npos;
-      if (chrome) continue;
+    s.last_t = std::max(s.last_t, r.t);
+    if (r.kind == core::TraceRecordKind::kDrop) ++drops;
+    if (r.kind != core::TraceRecordKind::kTx) continue;
+    const int mk = sim::parse_detail_kind(detail);
+    if (mk == net::kAck) {
+      ++acks;
+      s.acked = true;
+      continue;
     }
-    if (chrome) {
-      std::string ph;
-      if (!json_field(line, "ph", ph) || ph == "M") continue;
-      ++records;
-      std::string name, ts_s;
-      json_field(line, "name", name);
-      json_field(line, "ts", ts_s);
-      const double t = std::strtod(ts_s.c_str(), nullptr) / 1e6;
-      if (ph == "i") {
-        if (name == "converged" && convergence < 0.0) convergence = t;
-        continue;
-      }
-      std::string id_s;
-      if (!json_field(line, "global", id_s)) continue;
-      auto& s = spans[std::strtoull(id_s.c_str(), nullptr, 10)];
-      touch(s, t);
-      if (ph == "b") {
-        s.have_origin = true;
-        s.name = name;
-        ++kind_counts[name];
-      }
-      std::string leg;
-      json_field(line, "leg", leg);
-      if (leg == "retransmit") {
-        ++s.retransmits;
-        ++retransmits;
-      } else if (leg == "ack") {
-        ++acks;
-        s.acked = true;
-      } else if (leg == "drop") {
-        ++drops;
-      }
-    } else {
-      // A trace dump survives crashes and kills, so its tail can hold a
-      // truncated or garbled line. Parse each line for real; whatever
-      // does not parse is skipped and counted, never fatal.
-      const auto parsed = common::parse_json(line);
-      if (!parsed) {
-        ++malformed;
-        continue;
-      }
-      const auto* kind_v = parsed->find("kind");
-      if (kind_v == nullptr || !kind_v->is_string()) {
-        continue;  // schema-less header or foreign record
-      }
-      ++records;
-      const std::string& kind_s = kind_v->as_string();
-      const auto* t_v = parsed->find("t");
-      const double t = t_v != nullptr ? t_v->as_number() : 0.0;
-      const auto* detail_v = parsed->find("detail");
-      const std::string detail =
-          detail_v != nullptr ? detail_v->as_string() : std::string();
-      if (kind_s == "protocol") {
-        if (detail == "converged" && convergence < 0.0) convergence = t;
-        continue;
-      }
-      const auto* trace_v = parsed->find("trace");
-      const auto tid = static_cast<std::uint64_t>(
-          trace_v != nullptr ? trace_v->as_number() : 0.0);
-      if (tid == 0) continue;  // pre-causality or unstamped record
-      auto& s = spans[tid];
-      touch(s, t);
-      if (kind_s == "drop") ++drops;
-      if (kind_s != "tx") continue;
-      const int mk = sim::parse_detail_kind(detail);
-      if (mk == net::kAck) {
-        ++acks;
-        s.acked = true;
-        continue;
-      }
-      const auto* node_v = parsed->find("node");
-      const auto node = static_cast<std::uint64_t>(
-          node_v != nullptr ? node_v->as_number() : 0.0);
-      if (!s.have_origin) {
-        s.have_origin = true;
-        s.origin = node;
-        const char* n = net::msg_kind_name(mk);
-        s.name = n ? n : "kind-" + std::to_string(mk);
-        ++kind_counts[s.name];
-      } else if (node == s.origin) {
-        // Same frame leaving the origin again: an ARQ retransmission.
-        ++s.retransmits;
-        ++retransmits;
-      }
+    if (!s.have_origin) {
+      s.have_origin = true;
+      s.origin = r.node;
+      const char* n = net::msg_kind_name(mk);
+      s.name = n ? n : "kind-" + std::to_string(mk);
+      ++kind_counts[s.name];
+    } else if (r.node == s.origin) {
+      // Same frame leaving the origin again: an ARQ retransmission.
+      ++s.retransmits;
+      ++retransmits;
     }
   }
   // A dump with zero parseable records is a *warning*, not an error: a
@@ -1075,8 +994,7 @@ int cmd_trace_report(const common::Options& opts, CliReport& rep) {
       reliable == 0
           ? 0.0
           : static_cast<double>(retransmits) / static_cast<double>(reliable);
-  std::cout << "trace report: " << path << " ("
-            << (chrome ? "perfetto" : "jsonl") << ")\n"
+  std::cout << "trace report: " << path << " (jsonl)\n"
             << "records: " << records << ", exchanges: " << originals
             << " (" << reliable << " reliable)\n";
   if (!kind_counts.empty()) {
@@ -1122,7 +1040,7 @@ int cmd_trace_report(const common::Options& opts, CliReport& rep) {
     }
   }
 
-  rep.add("format", std::string(chrome ? "perfetto" : "jsonl"));
+  rep.add("format", std::string("jsonl"));
   rep.add("records", records);
   rep.add("malformed_lines", malformed);
   rep.add("exchanges", originals);
@@ -1140,7 +1058,7 @@ int cmd_trace_report(const common::Options& opts, CliReport& rep) {
 int cmd_trace(const common::Options& opts, CliReport& rep) {
   const auto& pos = opts.positional();
   if (pos.empty() || pos[0] != "report") {
-    std::cerr << "usage: decor trace report <dump.jsonl|trace.json>\n";
+    std::cerr << "usage: decor trace report <dump.jsonl|run-dir>\n";
     return 1;
   }
   return cmd_trace_report(opts, rep);
@@ -1466,8 +1384,8 @@ void usage() {
       "  lifetime      duty-cycled sleep scheduling (--battery, --epochs)\n"
       "  peas          PEAS baseline working-set (--rp, --mean-sleep)\n"
       "  connectivity  communication-graph analysis (--kappa)\n"
-      "  trace report  summarize a trace dump (JSONL, Perfetto JSON or a\n"
-      "                run dir; --in=path or positional, --top=N)\n"
+      "  trace report  summarize a trace JSONL dump or a run dir's trace\n"
+      "                (--in=path or positional, --top=N)\n"
       "  explain       reconstruct the convergence critical path from a\n"
       "                run directory's artifacts (last hole, closing\n"
       "                placement, message exchange), attribute latency\n"
