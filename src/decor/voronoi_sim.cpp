@@ -115,7 +115,7 @@ class DecorVoronoiSimNode final : public net::SensorNode {
   /// any neighbor I can hear (ties break to the lower node id).
   std::vector<std::uint32_t> owned_points() const {
     std::vector<std::uint32_t> out;
-    const auto neighbors = table_.snapshot();
+    const auto& neighbors = table_.snapshot();
     shared_->points->for_each_in_disc(
         pos(), params_.rc, [&](std::size_t pid) {
           const geom::Point2 p = shared_->points->point(pid);

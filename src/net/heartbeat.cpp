@@ -40,8 +40,4 @@ void HeartbeatDetector::tick() {
   });
 }
 
-void HeartbeatDetector::observe(std::uint32_t id, geom::Point2 pos) {
-  table_.observe(id, pos, host_.world().sim().now());
-}
-
 }  // namespace decor::net

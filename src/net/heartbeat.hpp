@@ -3,7 +3,9 @@
 // Each node broadcasts a heartbeat with period Tc (plus per-node phase
 // jitter so the network never synchronizes) and declares a neighbor failed
 // after `timeout_periods * Tc` of silence. The component is embedded in a
-// NodeProcess — it does not own the radio, the host node forwards events.
+// NodeProcess — it does not own the radio: the host records every heard
+// heartbeat/hello in the shared NeighborTable, which the detector scans
+// once per period.
 #pragma once
 
 #include <cstdint>
@@ -32,9 +34,6 @@ class HeartbeatDetector {
   /// Starts the periodic beat/check cycle; `send_beat` is invoked each
   /// period and must transmit the host's heartbeat message.
   void start(std::function<void()> send_beat, FailureCallback on_failure);
-
-  /// Hosts call this for every received heartbeat/hello.
-  void observe(std::uint32_t id, geom::Point2 pos);
 
   const HeartbeatParams& params() const noexcept { return params_; }
 

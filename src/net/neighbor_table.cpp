@@ -1,26 +1,38 @@
 #include "net/neighbor_table.hpp"
 
-#include <algorithm>
-
 namespace decor::net {
 
-void NeighborTable::observe(std::uint32_t id, geom::Point2 pos,
-                            sim::Time now) {
-  auto& e = entries_[id];
-  e.pos = pos;
-  e.last_seen = now;
+const NeighborTable::Slot* NeighborTable::find(std::uint32_t id) const {
+  const std::size_t at = id_lower_bound(entries_, id);
+  return at < entries_.size() && entries_[at].first == id ? &entries_[at]
+                                                          : nullptr;
 }
 
-void NeighborTable::forget(std::uint32_t id) { entries_.erase(id); }
+bool NeighborTable::observe(std::uint32_t id, geom::Point2 pos,
+                            sim::Time now) {
+  const std::size_t at = id_lower_bound(entries_, id);
+  if (at < entries_.size() && entries_[at].first == id) {
+    entries_[at].second = NeighborEntry{pos, now};
+    return false;
+  }
+  entries_.insert(entries_.begin() + static_cast<std::ptrdiff_t>(at),
+                  Slot{id, NeighborEntry{pos, now}});
+  return true;
+}
+
+void NeighborTable::forget(std::uint32_t id) {
+  if (const Slot* e = find(id)) {
+    entries_.erase(entries_.begin() + (e - entries_.data()));
+  }
+}
 
 bool NeighborTable::knows(std::uint32_t id) const {
-  return entries_.find(id) != entries_.end();
+  return find(id) != nullptr;
 }
 
 std::optional<NeighborEntry> NeighborTable::get(std::uint32_t id) const {
-  auto it = entries_.find(id);
-  if (it == entries_.end()) return std::nullopt;
-  return it->second;
+  if (const Slot* e = find(id)) return e->second;
+  return std::nullopt;
 }
 
 std::vector<std::uint32_t> NeighborTable::stale(sim::Time deadline) const {
@@ -28,16 +40,6 @@ std::vector<std::uint32_t> NeighborTable::stale(sim::Time deadline) const {
   for (const auto& [id, e] : entries_) {
     if (e.last_seen < deadline) out.push_back(id);
   }
-  std::sort(out.begin(), out.end());
-  return out;
-}
-
-std::vector<std::pair<std::uint32_t, NeighborEntry>> NeighborTable::snapshot()
-    const {
-  std::vector<std::pair<std::uint32_t, NeighborEntry>> out(entries_.begin(),
-                                                           entries_.end());
-  std::sort(out.begin(), out.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
   return out;
 }
 

@@ -108,17 +108,18 @@ void SensorNode::broadcast_reliable(sim::Message msg) {
 }
 
 void SensorNode::observe(std::uint32_t from, geom::Point2 p, double boot) {
-  const bool fresh = !table_.knows(from);
-  table_.observe(from, p, world().sim().now());
-  if (detector_) detector_->observe(from, p);
+  const bool fresh = table_.observe(from, p, world().sim().now());
   // Reboot-with-amnesia detection: a later boot stamp on a known peer id
   // means the peer restarted with fresh protocol state. Its new seq
   // space must not be filtered through dedup state of the previous
   // incarnation, and any route through it is stale. Never triggers in
   // reboot-free runs (a given id's boot stamp is constant).
-  const auto [bit, new_peer] = peer_boot_.try_emplace(from, boot);
-  if (!new_peer && boot > bit->second) {
-    bit->second = boot;
+  const std::size_t at = id_lower_bound(peer_boot_, from);
+  if (at == peer_boot_.size() || peer_boot_[at].first != from) {
+    peer_boot_.insert(peer_boot_.begin() + static_cast<std::ptrdiff_t>(at),
+                      {from, boot});
+  } else if (boot > peer_boot_[at].second) {
+    peer_boot_[at].second = boot;
     if (link_) link_->forget_peer(from);
     if (data_plane_) data_plane_->on_peer_dead(from);
   }

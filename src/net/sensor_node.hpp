@@ -7,8 +7,9 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <memory>
+#include <utility>
+#include <vector>
 
 #include "net/data_plane.hpp"
 #include "net/heartbeat.hpp"
@@ -108,9 +109,10 @@ class SensorNode : public sim::NodeProcess {
  private:
   void observe(std::uint32_t id, geom::Point2 pos, double boot);
 
-  /// Last boot stamp heard per neighbor id (reboot-with-amnesia
-  /// detection; see observe()).
-  std::map<std::uint32_t, double> peer_boot_;
+  /// Last boot stamp heard per neighbor id, id-ascending
+  /// (reboot-with-amnesia detection; see observe()). Unlike the
+  /// neighbor table it survives forget().
+  std::vector<std::pair<std::uint32_t, double>> peer_boot_;
   ArqStats* arq_stats_ = nullptr;
   DataPlaneStats* data_stats_ = nullptr;
 };

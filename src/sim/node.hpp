@@ -67,10 +67,20 @@ class NodeProcess {
   [[nodiscard]] bool unicast(std::uint32_t dst, Message msg, double range);
 
   /// Schedules `fn` after `delay`; the callback is suppressed if the node
-  /// has died in the meantime.
-  EventHandle set_timer(Time delay, std::function<void()> fn);
+  /// has died in the meantime (process objects outlive their death, so
+  /// the captured `this` stays valid). The guard holds `fn` itself, not
+  /// a std::function of it: a callable capturing one pointer still fits,
+  /// with the guard, in std::function's inline buffer.
+  template <typename Fn>
+  EventHandle set_timer(Time delay, Fn fn) {
+    return schedule_timer(delay, [this, fn = std::move(fn)]() mutable {
+      if (alive_) fn();
+    });
+  }
 
  private:
+  EventHandle schedule_timer(Time delay, std::function<void()> fn);
+
   friend class World;
   friend class Radio;
 

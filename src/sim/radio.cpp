@@ -131,69 +131,105 @@ void Radio::deliver_later(std::uint32_t dst, const Message& msg) {
           : 0.0;
   const double end = start + airtime;
 
-  auto corrupted = std::make_shared<bool>(false);
+  std::uint32_t slot;
+  if (free_frames_.empty()) {
+    slot = static_cast<std::uint32_t>(frames_.size());
+    frames_.emplace_back();
+  } else {
+    slot = free_frames_.back();
+    free_frames_.pop_back();
+  }
+  Frame& frame = frames_[slot];
+  frame.msg = msg;
+  frame.dst = dst;
+  frame.crc_failed = crc_failed;
+  frame.collided = false;
+  frame.refs = 1;
+
   if (params_.bitrate_bps > 0.0) {
     // Receiver-side collision check: overlapping frames destroy each
-    // other. Prune arrivals that finished in the past first.
-    auto& pending = inbound_[dst];
+    // other. Prune arrivals that finished in the past first; their
+    // deliveries have run, so the list holds their slots' last
+    // reference.
+    if (dst >= inbound_.size()) inbound_.resize(dst + 1);
+    auto& on_air = inbound_[dst];
     const double now = world_.sim().now();
-    std::erase_if(pending,
-                  [now](const Pending& p) { return p.end < now; });
-    for (auto& p : pending) {
-      if (start < p.end && p.start < end) {
-        if (!*p.corrupted) {
+    std::erase_if(on_air, [this, now](const Airtime& a) {
+      if (a.end >= now) return false;
+      unref(a.frame);
+      return true;
+    });
+    for (const Airtime& a : on_air) {
+      if (start < a.end && a.start < end) {
+        Frame& other = frames_[a.frame];
+        if (!other.collided) {
           ++collisions_;
           collision_counter().inc();
+          other.collided = true;
         }
-        *p.corrupted = true;
-        if (!*corrupted) {
+        if (!frame.collided) {
           ++collisions_;
           collision_counter().inc();
+          frame.collided = true;
         }
-        *corrupted = true;
       }
     }
-    pending.push_back(Pending{start, end, corrupted});
+    on_air.push_back(Airtime{start, end, slot});
+    ++frame.refs;
   }
 
   in_flight_gauge().add(1.0);
-  world_.sim().schedule_at(end, [this, dst, msg, corrupted, crc_failed] {
-    in_flight_gauge().add(-1.0);
-    if (*corrupted) return;  // destroyed by a colliding frame
-    NodeProcess& node = world_.node(dst);
-    if (!node.alive()) return;  // died in flight
-    if (crc_failed) {
-      // The frame reached the receiver (rx energy is spent decoding it)
-      // but fails the checksum: detected, dropped, and counted apart
-      // from in-air loss. It never reaches the protocol layer.
-      ++corrupted_;
-      world_.charge(dst, node.budget_.rx_base_j +
-                             node.budget_.rx_per_byte_j *
-                                 static_cast<double>(msg.size_bytes));
-      if (world_.trace().enabled()) {
-        world_.trace().record(world_.sim().now(), TraceKind::kDrop, dst,
-                              "crc kind=" + std::to_string(msg.kind) +
-                                  " from=" + std::to_string(msg.src),
-                              msg.trace_id);
-      }
-      return;
-    }
-    note_node(dst);
-    ++rx_[dst];
-    ++total_rx_;
-    rx_counter().inc();
+  world_.sim().schedule_at(end, [this, slot] { receive(slot); });
+}
+
+void Radio::unref(std::uint32_t slot) noexcept {
+  if (--frames_[slot].refs == 0) free_frames_.push_back(slot);
+}
+
+void Radio::receive(std::uint32_t slot) {
+  in_flight_gauge().add(-1.0);
+  // Take the message out and drop the delivery's reference first:
+  // on_message may transmit, which can reuse the slot or grow the slab.
+  Frame& frame = frames_[slot];
+  const Message msg = std::move(frame.msg);
+  const std::uint32_t dst = frame.dst;
+  const bool crc_failed = frame.crc_failed;
+  const bool collided = frame.collided;
+  unref(slot);
+  if (collided) return;  // destroyed by a colliding frame
+  NodeProcess& node = world_.node(dst);
+  if (!node.alive()) return;  // died in flight
+  if (crc_failed) {
+    // The frame reached the receiver (rx energy is spent decoding it)
+    // but fails the checksum: detected, dropped, and counted apart
+    // from in-air loss. It never reaches the protocol layer.
+    ++corrupted_;
     world_.charge(dst, node.budget_.rx_base_j +
                            node.budget_.rx_per_byte_j *
                                static_cast<double>(msg.size_bytes));
-    if (!node.alive()) return;  // the rx itself drained the battery
     if (world_.trace().enabled()) {
-      world_.trace().record(world_.sim().now(), TraceKind::kRx, dst,
-                            "kind=" + std::to_string(msg.kind) +
+      world_.trace().record(world_.sim().now(), TraceKind::kDrop, dst,
+                            "crc kind=" + std::to_string(msg.kind) +
                                 " from=" + std::to_string(msg.src),
                             msg.trace_id);
     }
-    node.on_message(msg);
-  });
+    return;
+  }
+  note_node(dst);
+  ++rx_[dst];
+  ++total_rx_;
+  rx_counter().inc();
+  world_.charge(dst, node.budget_.rx_base_j +
+                         node.budget_.rx_per_byte_j *
+                             static_cast<double>(msg.size_bytes));
+  if (!node.alive()) return;  // the rx itself drained the battery
+  if (world_.trace().enabled()) {
+    world_.trace().record(world_.sim().now(), TraceKind::kRx, dst,
+                          "kind=" + std::to_string(msg.kind) +
+                              " from=" + std::to_string(msg.src),
+                          msg.trace_id);
+  }
+  node.on_message(msg);
 }
 
 void Radio::broadcast(NodeProcess& src, const Message& msg, double range) {
@@ -201,7 +237,11 @@ void Radio::broadcast(NodeProcess& src, const Message& msg, double range) {
   charge_tx(src, msg);
   const double query_range =
       params_.propagation ? params_.propagation->max_range(range) : range;
-  for (std::uint32_t dst : world_.nodes_in_disc(src.pos(), query_range)) {
+  fanout_.clear();
+  world_.index().for_each_in_disc(
+      src.pos(), query_range,
+      [this](std::uint32_t id, geom::Point2) { fanout_.push_back(id); });
+  for (std::uint32_t dst : fanout_) {
     if (dst == src.id()) continue;
     if (!frame_reaches(src, dst, range)) {
       ++total_dropped_;

@@ -9,7 +9,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -92,17 +91,32 @@ class Radio {
   std::uint64_t total_corrupted() const noexcept { return corrupted_; }
 
  private:
-  /// A frame scheduled for reception, for collision bookkeeping.
-  struct Pending {
+  /// A frame in flight to one receiver. Frames live in a slab owned by
+  /// the radio, so the scheduled delivery captures only (this, slot) —
+  /// small enough for std::function's inline buffer.
+  struct Frame {
+    Message msg;
+    std::uint32_t dst = 0;
+    bool crc_failed = false;
+    /// Destroyed by an overlapping frame (bitrate_bps > 0 only).
+    bool collided = false;
+    /// Holders of the slot: the pending delivery, plus the receiver's
+    /// airtime list while collision modelling keeps the frame there.
+    std::uint8_t refs = 0;
+  };
+  /// A frame's occupancy of its receiver, for collision bookkeeping.
+  struct Airtime {
     double start;
     double end;
-    std::shared_ptr<bool> corrupted;
+    std::uint32_t frame;
   };
 
   bool frame_reaches(const NodeProcess& src, std::uint32_t dst,
                      double range);
   bool pair_cut(std::uint32_t a, std::uint32_t b) const;
   void deliver_later(std::uint32_t dst, const Message& msg);
+  void receive(std::uint32_t slot);
+  void unref(std::uint32_t slot) noexcept;
   void charge_tx(NodeProcess& src, const Message& msg);
   void note_node(std::uint32_t id);
 
@@ -119,7 +133,14 @@ class Radio {
   std::vector<std::pair<std::uint64_t, CutPredicate>> cuts_;
   std::vector<std::uint64_t> tx_;
   std::vector<std::uint64_t> rx_;
-  std::unordered_map<std::uint32_t, std::vector<Pending>> inbound_;
+  std::vector<Frame> frames_;
+  std::vector<std::uint32_t> free_frames_;
+  /// Per-receiver airtime lists, indexed by node id; grown only while
+  /// collision modelling is on (bitrate_bps > 0).
+  std::vector<std::vector<Airtime>> inbound_;
+  /// Receivers of the broadcast in progress, reused across broadcasts
+  /// (nothing inside the fan-out loop broadcasts again).
+  std::vector<std::uint32_t> fanout_;
 };
 
 }  // namespace decor::sim

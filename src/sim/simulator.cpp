@@ -28,11 +28,11 @@ EventHandle Simulator::schedule_at(Time at, std::function<void()> fn) {
 void Simulator::run() {
   common::ProfileScope profile(drain_hist());
   stopped_ = false;
-  while (!stopped_ && !queue_.empty()) {
+  while (!stopped_ && queue_.prune()) {
     // Advance the clock before running the event so the callback observes
     // its own timestamp (and schedules relative to it).
-    now_ = queue_.next_time();
-    queue_.pop_and_run();
+    now_ = queue_.top_time();
+    queue_.run_top();
     ++executed_;
   }
 }
@@ -41,9 +41,9 @@ void Simulator::run_until(Time until) {
   DECOR_REQUIRE_MSG(until >= now_, "run_until into the past");
   common::ProfileScope profile(drain_hist());
   stopped_ = false;
-  while (!stopped_ && !queue_.empty() && queue_.next_time() <= until) {
-    now_ = queue_.next_time();
-    queue_.pop_and_run();
+  while (!stopped_ && queue_.prune() && queue_.top_time() <= until) {
+    now_ = queue_.top_time();
+    queue_.run_top();
     ++executed_;
   }
   if (!stopped_) now_ = until;

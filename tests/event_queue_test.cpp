@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <vector>
 
 #include "common/require.hpp"
@@ -99,6 +100,71 @@ TEST(EventQueue, PopOnEmptyThrows) {
   EventQueue q;
   EXPECT_THROW(q.pop_and_run(), decor::common::RequireError);
   EXPECT_THROW(q.next_time(), decor::common::RequireError);
+}
+
+TEST(EventQueue, StaleHandleCannotCancelTheSlotsNextEvent) {
+  // Callbacks live in recycled slots: once an event has run, its handle
+  // is stale. It must report not-cancelled, and its cancel() must not
+  // reach the event that reuses the slot.
+  EventQueue q;
+  int first = 0;
+  int second = 0;
+  auto h = q.schedule(1.0, [&] { ++first; });
+  q.pop_and_run();
+  EXPECT_TRUE(h.valid());
+  EXPECT_FALSE(h.cancelled());
+  auto next = q.schedule(2.0, [&] { ++second; });
+  h.cancel();
+  EXPECT_FALSE(h.cancelled());
+  EXPECT_FALSE(next.cancelled());
+  while (!q.empty()) q.pop_and_run();
+  EXPECT_EQ(first, 1);
+  EXPECT_EQ(second, 1);
+}
+
+TEST(EventQueue, DiscardedCancelledSlotIsReusedSafely) {
+  // A cancelled entry frees its slot when the queue discards it; a second
+  // cancel() through the old handle must not hit the slot's new event.
+  EventQueue q;
+  bool ran = false;
+  auto h = q.schedule(1.0, [] {});
+  h.cancel();
+  EXPECT_TRUE(h.cancelled());
+  EXPECT_TRUE(q.empty());  // discards the cancelled entry
+  auto next = q.schedule(1.5, [&] { ran = true; });
+  h.cancel();
+  EXPECT_FALSE(next.cancelled());
+  while (!q.empty()) q.pop_and_run();
+  EXPECT_TRUE(ran);
+}
+
+TEST(EventQueue, CancellingTheRunningEventSparesItsSuccessor) {
+  // A callback that reschedules itself gets its own (just freed) slot
+  // back; cancelling the running event's handle from inside the callback
+  // must leave the successor alone.
+  EventQueue q;
+  int fired = 0;
+  EventHandle self;
+  self = q.schedule(1.0, [&] {
+    ++fired;
+    q.schedule(2.0, [&] { ++fired; });
+    self.cancel();
+  });
+  while (!q.empty()) q.pop_and_run();
+  EXPECT_EQ(fired, 2);
+}
+
+TEST(EventQueue, CancelReleasesTheCallable) {
+  // cancel() destroys the callable at once instead of holding its
+  // captures until the dead entry reaches the head of the heap.
+  EventQueue q;
+  auto token = std::make_shared<int>(0);
+  std::weak_ptr<int> watch = token;
+  auto h = q.schedule(5.0, [token] { (void)token; });
+  token.reset();
+  EXPECT_FALSE(watch.expired());
+  h.cancel();
+  EXPECT_TRUE(watch.expired());
 }
 
 TEST(Simulator, ClockAdvancesWithEvents) {

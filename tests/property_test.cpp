@@ -55,39 +55,74 @@ TEST_P(Seeded, ExactMinimumNeverExceedsSampledCoverage) {
 // --- event queue vs a reference model ----------------------------------------
 
 TEST_P(Seeded, EventQueueMatchesReferenceOrdering) {
+  // Schedules, pops and cancels are interleaved so callback slots are
+  // recycled throughout: stale handles (of events that ran or were
+  // discarded) keep cancelling, and must never touch the events that
+  // reuse their slots.
   common::Rng rng(GetParam());
   sim::EventQueue queue;
+  enum class State { kPending, kCancelled, kDone };
   struct Ref {
     double at;
     std::size_t seq;
-    bool cancelled;
+    State state;
   };
   std::vector<Ref> model;
   std::vector<std::size_t> executed;
   std::vector<sim::EventHandle> handles;
+  double now = 0.0;
 
-  for (std::size_t i = 0; i < 200; ++i) {
-    const double at = rng.uniform(0.0, 100.0);
-    handles.push_back(queue.schedule(
-        at, [i, &executed] { executed.push_back(i); }));
-    model.push_back({at, i, false});
-  }
-  // Cancel a random subset.
-  for (std::size_t i = 0; i < 200; ++i) {
-    if (rng.bernoulli(0.25)) {
+  const auto pop_expected = [&] {
+    std::size_t best = model.size();
+    for (std::size_t i = 0; i < model.size(); ++i) {
+      if (model[i].state != State::kPending) continue;
+      if (best == model.size() || model[i].at < model[best].at) best = i;
+    }
+    return best;  // ties keep the lowest seq (index order)
+  };
+
+  for (int step = 0; step < 600; ++step) {
+    const double u = rng.uniform(0.0, 1.0);
+    if (u < 0.5) {
+      const std::size_t i = model.size();
+      // Coarse times force ties, which must break by insertion order.
+      const double at = now + static_cast<double>(rng.below(8));
+      handles.push_back(
+          queue.schedule(at, [i, &executed] { executed.push_back(i); }));
+      model.push_back({at, i, State::kPending});
+    } else if (u < 0.75 && !handles.empty()) {
+      const std::size_t i = rng.below(handles.size());
       handles[i].cancel();
-      model[i].cancelled = true;
+      if (model[i].state == State::kPending) {
+        model[i].state = State::kCancelled;
+        EXPECT_TRUE(handles[i].cancelled());
+      }
+      if (model[i].state == State::kDone) {
+        EXPECT_FALSE(handles[i].cancelled());
+      }
+    } else {
+      const std::size_t want = pop_expected();
+      ASSERT_EQ(queue.empty(), want == model.size());
+      if (want == model.size()) continue;
+      now = queue.pop_and_run();
+      ASSERT_FALSE(executed.empty());
+      EXPECT_EQ(executed.back(), want);
+      EXPECT_DOUBLE_EQ(now, model[want].at);
+      model[want].state = State::kDone;
+      EXPECT_FALSE(handles[want].cancelled());
     }
   }
-  while (!queue.empty()) queue.pop_and_run();
-
-  std::vector<std::size_t> expected;
-  std::stable_sort(model.begin(), model.end(),
-                   [](const Ref& a, const Ref& b) { return a.at < b.at; });
-  for (const auto& r : model) {
-    if (!r.cancelled) expected.push_back(r.seq);
+  while (!queue.empty()) {
+    const std::size_t want = pop_expected();
+    ASSERT_LT(want, model.size());
+    queue.pop_and_run();
+    EXPECT_EQ(executed.back(), want);
+    model[want].state = State::kDone;
   }
-  EXPECT_EQ(executed, expected);
+  EXPECT_EQ(pop_expected(), model.size());
+  std::size_t done = 0;
+  for (const auto& r : model) done += r.state == State::kDone ? 1 : 0;
+  EXPECT_EQ(executed.size(), done);
 }
 
 // --- Equation 1 conservation --------------------------------------------------

@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "net/neighbor_table.hpp"
 #include "net/sensor_node.hpp"
 #include "sim/world.hpp"
@@ -59,6 +61,54 @@ TEST(NeighborTable, SnapshotSorted) {
   ASSERT_EQ(snap.size(), 2u);
   EXPECT_EQ(snap[0].first, 2u);
   EXPECT_EQ(snap[1].first, 9u);
+}
+
+TEST(NeighborTable, ObserveReportsFirstSightOnly) {
+  NeighborTable t;
+  EXPECT_TRUE(t.observe(4, {0, 0}, 1.0));
+  EXPECT_FALSE(t.observe(4, {1, 0}, 2.0));
+  EXPECT_TRUE(t.observe(2, {0, 0}, 2.0));
+  t.forget(4);
+  EXPECT_TRUE(t.observe(4, {2, 0}, 3.0));
+  EXPECT_FALSE(t.observe(4, {2, 0}, 4.0));
+}
+
+TEST(NeighborTable, MatchesOrderedMapModel) {
+  // Randomized observe/forget against a std::map reference: membership,
+  // first-sight verdicts, stale() and snapshot() (both id-ascending)
+  // must agree after every step.
+  common::Rng rng(97);
+  NeighborTable t;
+  std::map<std::uint32_t, NeighborEntry> model;
+  for (int step = 0; step < 3000; ++step) {
+    const auto id = static_cast<std::uint32_t>(rng.below(40));
+    const double now = static_cast<double>(step);
+    if (rng.bernoulli(0.8)) {
+      const Point2 pos{rng.uniform(0.0, 10.0), rng.uniform(0.0, 10.0)};
+      const bool fresh = model.find(id) == model.end();
+      EXPECT_EQ(t.observe(id, pos, now), fresh);
+      model[id] = NeighborEntry{pos, now};
+    } else {
+      t.forget(id);
+      model.erase(id);
+    }
+    ASSERT_EQ(t.size(), model.size());
+    const auto& snap = t.snapshot();
+    auto it = model.begin();
+    for (const auto& [sid, e] : snap) {
+      ASSERT_EQ(sid, it->first);
+      EXPECT_EQ(e.pos.x, it->second.pos.x);
+      EXPECT_EQ(e.pos.y, it->second.pos.y);
+      EXPECT_EQ(e.last_seen, it->second.last_seen);
+      ++it;
+    }
+    const double deadline = now - static_cast<double>(rng.below(60));
+    std::vector<std::uint32_t> want;
+    for (const auto& [mid, e] : model) {
+      if (e.last_seen < deadline) want.push_back(mid);
+    }
+    EXPECT_EQ(t.stale(deadline), want);
+  }
 }
 
 // --- SensorNode integration on the simulator -------------------------------
