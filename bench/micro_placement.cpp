@@ -95,19 +95,18 @@ void BM_LargeGreedyIndexed(benchmark::State& state) {
 }
 BENCHMARK(BM_LargeGreedyIndexed)->Unit(benchmark::kMillisecond);
 
-// The cold-start cost the indexed path pays once per run: the
-// parallel_for bulk rebuild of all 4096 benefits.
+// The cold-start cost the indexed path pays once per run: the scatter
+// rebuild of all 4096 benefits.
 void BM_LargeIndexRebuild(benchmark::State& state) {
   common::Rng rng(42);
   core::Field field(large_params(), rng);
   field.deploy_random(200, rng);
   for (auto _ : state) {
-    coverage::BenefitIndex index(field.map, field.params.k, {},
-                                 static_cast<std::size_t>(state.range(0)));
+    coverage::BenefitIndex index(field.map, field.params.k);
     benchmark::DoNotOptimize(index);
   }
 }
-BENCHMARK(BM_LargeIndexRebuild)->Arg(1)->Arg(0)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_LargeIndexRebuild)->Unit(benchmark::kMillisecond);
 
 void BM_AreaFailureRestoration(benchmark::State& state) {
   for (auto _ : state) {

@@ -1,14 +1,14 @@
 // Minimal data-parallel helper for the benchmark harnesses and the
-// coverage::BenefitIndex cold-start rebuild and sharded batch sweeps.
+// coverage::BenefitIndex sharded batch sweeps.
 //
 // Experiment sweeps are embarrassingly parallel over (configuration,
 // trial) jobs: every job owns an independent seeded RNG and field, so
 // running them on worker threads changes nothing about the results.
 // Determinism is preserved by collecting each job's output into its own
 // slot and merging sequentially afterwards — never by sharing mutable
-// state across jobs. BenefitIndex::rebuild relies on this contract to be
-// bit-identical for any thread count (guarded by a differential test in
-// tests/benefit_index_test.cpp), so callers must not weaken it to
+// state across jobs. BenefitIndex::apply_discs relies on this contract to
+// be bit-identical for any thread count (guarded by differential tests in
+// tests/sharded_index_test.cpp), so callers must not weaken it to
 // slot-free accumulation.
 //
 // Workers come from one process-wide lazily-grown pool instead of being

@@ -61,7 +61,7 @@ BenefitIndex::BenefitIndex(const CoverageMap& map, std::uint32_t k,
                     "owner labels must cover every point");
   init_buckets();
   init_shards(spec);
-  rebuild(threads);
+  rebuild();
 }
 
 BenefitIndex::BenefitIndex(std::shared_ptr<const geom::PointGridIndex> index,
@@ -83,7 +83,7 @@ BenefitIndex::BenefitIndex(std::shared_ptr<const geom::PointGridIndex> index,
                     "owner labels must cover every point");
   init_buckets();
   init_shards(spec);
-  rebuild(threads);
+  rebuild();
 }
 
 void BenefitIndex::init_buckets() {
@@ -125,16 +125,17 @@ std::size_t BenefitIndex::disc_estimate(double radius) const noexcept {
   return static_cast<std::size_t>(points_per_area_ * radius * radius) + 1;
 }
 
-void BenefitIndex::for_each_owned_in_disc(
-    std::int64_t own, geom::Point2 center, double radius,
-    const std::function<void(std::size_t)>& fn) const {
+template <typename Fn>
+void BenefitIndex::for_each_owned_in_disc(std::int64_t own,
+                                          geom::Point2 center, double radius,
+                                          Fn&& fn) const {
   if (own < 0) return;
   const auto i = static_cast<std::size_t>(own);
   if (i < owner_points_.size() &&
       owner_points_[i].size() < disc_estimate(radius)) {
     // Same membership predicate as PointGridIndex::for_each_in_disc.
     for (const std::uint32_t p : owner_points_[i]) {
-      if (geom::within(index_->point(p), center, radius)) fn(p);
+      if (geom::within(index_->point(p), center, radius)) fn(std::size_t{p});
     }
     return;
   }
@@ -155,35 +156,32 @@ std::uint64_t BenefitIndex::recompute_one(std::size_t point_id) const {
   return b;
 }
 
-void BenefitIndex::rebuild(std::size_t threads) {
+void BenefitIndex::rebuild() {
   common::ProfileScope profile(rebuild_hist());
   rebuild_counter().inc();
-  // Thread spawn costs more than the whole rebuild on small fields; run
-  // inline below ~1M point-pair visits. Same results either way (each
-  // point's benefit lands in its own slot), so this changes nothing
-  // observable.
-  if (threads == 0 &&
-      benefit_.size() * disc_estimate(rs_) < (std::size_t{1} << 20)) {
-    threads = 1;
+  // Scatter: every owned point q with deficit d > 0 adds d to each
+  // same-owner point within rs of it. distance_sq is symmetric, so this
+  // is exactly the per-point gather of recompute_one, but it sweeps only
+  // the deficit points (few once a field is mostly covered).
+  std::fill(benefit_.begin(), benefit_.end(), 0);
+  for (std::size_t q = 0; q < counts_.size(); ++q) {
+    const std::int64_t own = owner_[q];
+    if (own == kNoOwner || counts_[q] >= k_) continue;
+    const std::uint64_t d = k_ - counts_[q];
+    for_each_owned_in_disc(own, index_->point(q), rs_,
+                           [&](std::size_t p) { benefit_[p] += d; });
   }
-  common::parallel_for(
-      benefit_.size(),
-      [this](std::size_t p) { benefit_[p] = recompute_one(p); }, threads);
-  // Deterministic merge: each shard's heap is seeded from its own
-  // ascending point-id list (one shard == the historical single-heap
-  // layout). Shards only write their own heap, so the seeding sweep is
-  // safe to run in parallel.
-  common::parallel_for(
-      heaps_.size(),
-      [this](std::size_t s) {
-        heaps_[s] = {};
-        for (const std::uint32_t p : shard_points_[s]) {
-          if (owner_[p] != kNoOwner && counts_[p] < k_) {
-            heaps_[s].push(Candidate{benefit_[p], p});
-          }
-        }
-      },
-      threads);
+  // Seed each shard's heap with one exact entry per candidate, from its
+  // ascending point list (one shard == the historical single heap).
+  for (std::size_t s = 0; s < heaps_.size(); ++s) {
+    std::vector<Candidate> seed;
+    for (const std::uint32_t p : shard_points_[s]) {
+      if (owner_[p] != kNoOwner && counts_[p] < k_) {
+        seed.push_back(Candidate{benefit_[p], p});
+      }
+    }
+    heaps_[s] = Heap(Worse{}, std::move(seed));
+  }
 }
 
 void BenefitIndex::touch(std::size_t point_id) {
@@ -192,15 +190,17 @@ void BenefitIndex::touch(std::size_t point_id) {
   touched_.push_back(static_cast<std::uint32_t>(point_id));
 }
 
-void BenefitIndex::flush_touched() {
-  // One fresh snapshot per touched point keeps the heap invariant: every
-  // owned uncovered point always has an entry carrying its current
-  // benefit (anything older is skipped as stale at pop time).
-  for (const std::uint32_t p : touched_) {
-    if (owner_[p] != kNoOwner && counts_[p] < k_) {
-      heaps_[shard_of_point_[p]].push(Candidate{benefit_[p], p});
-    }
+void BenefitIndex::queue(std::size_t point_id) {
+  if (owner_[point_id] != kNoOwner && counts_[point_id] < k_) {
+    heaps_[shard_of_point_[point_id]].push(
+        Candidate{benefit_[point_id], point_id});
   }
+}
+
+void BenefitIndex::flush_touched() {
+  // Touched points are exactly those whose benefit rose; a fresh
+  // snapshot keeps each one's heap entry an upper bound.
+  for (const std::uint32_t p : touched_) queue(p);
   touched_.clear();
 }
 
@@ -212,15 +212,21 @@ void BenefitIndex::apply_deficit_delta(std::size_t q,
   if (d0 == d1) return;
   const std::int64_t own = owner_[q];
   if (own == kNoOwner) return;  // contributes to no candidate
-  for_each_owned_in_disc(own, index_->point(q), rs_, [&](std::size_t p) {
-    if (d1 > d0) {
-      benefit_[p] += d1 - d0;
-    } else {
-      DECOR_ASSERT(benefit_[p] >= d0 - d1);
-      benefit_[p] -= d0 - d1;
-    }
-    touch(p);
-  });
+  if (d1 > d0) {
+    const std::uint64_t up = d1 - d0;
+    for_each_owned_in_disc(own, index_->point(q), rs_, [&](std::size_t p) {
+      benefit_[p] += up;
+      touch(p);
+    });
+  } else {
+    // A falling benefit leaves every existing snapshot an upper bound:
+    // nothing to queue.
+    const std::uint64_t down = d0 - d1;
+    for_each_owned_in_disc(own, index_->point(q), rs_, [&](std::size_t p) {
+      DECOR_ASSERT(benefit_[p] >= down);
+      benefit_[p] -= down;
+    });
+  }
 }
 
 void BenefitIndex::add_disc(geom::Point2 pos, double radius,
@@ -228,13 +234,11 @@ void BenefitIndex::add_disc(geom::Point2 pos, double radius,
   if (mult == 0) return;
   common::ProfileScope profile(delta_sweep_hist());
   delta_sweep_counter().inc();
-  ++epoch_;
   index_->for_each_in_disc(pos, radius, [&](std::size_t q) {
     const std::uint32_t old = counts_[q];
     counts_[q] = old + mult;
     apply_deficit_delta(q, old, counts_[q]);
   });
-  flush_touched();
 }
 
 void BenefitIndex::remove_disc(geom::Point2 pos, double radius,
@@ -250,8 +254,8 @@ void BenefitIndex::remove_disc(geom::Point2 pos, double radius,
     counts_[q] = old - mult;
     apply_deficit_delta(q, old, counts_[q]);
     // A point that just became uncovered re-enters the candidate set;
-    // its own benefit changed too (it is within rs of itself), so the
-    // delta above already touched it and flush re-queues it.
+    // its own benefit rose too (it is within rs of itself), so the delta
+    // above already touched it and flush re-queues it.
   });
   flush_touched();
 }
@@ -308,7 +312,8 @@ void BenefitIndex::apply_discs(const std::vector<DiscDelta>& batch) {
   // deficit deltas into the benefits of its own points within rs. The
   // deltas are integers, so the fold is exact in any order; iterating in
   // fixed order anyway keeps the per-shard heap push sequence (via the
-  // touched lists) deterministic too.
+  // touched lists) deterministic too. Only rising deficits (dq > 0)
+  // touch: a net fall leaves the old snapshots upper bounds.
   ++epoch_;
   common::parallel_for(
       nshards,
@@ -328,20 +333,16 @@ void BenefitIndex::apply_discs(const std::vector<DiscDelta>& batch) {
                   static_cast<std::int64_t>(benefit_[p]) + c.dq;
               DECOR_ASSERT(b >= 0);
               benefit_[p] = static_cast<std::uint64_t>(b);
-              if (touch_epoch_[p] != epoch_) {
+              if (c.dq > 0 && touch_epoch_[p] != epoch_) {
                 touch_epoch_[p] = epoch_;
                 touched.push_back(static_cast<std::uint32_t>(p));
               }
             });
           }
         }
-        // Per-shard flush: one fresh snapshot per touched point, into
-        // this shard's own heap.
-        for (const std::uint32_t p : touched) {
-          if (owner_[p] != kNoOwner && counts_[p] < k_) {
-            heaps_[s].push(Candidate{benefit_[p], p});
-          }
-        }
+        // Per-shard flush: one fresh snapshot per point whose benefit
+        // rose, into this shard's own heap.
+        for (const std::uint32_t p : touched) queue(p);
       },
       threads_);
 }
@@ -350,14 +351,12 @@ std::size_t BenefitIndex::add_disc_owned(geom::Point2 pos, double radius,
                                          std::int64_t owner) {
   std::size_t newly_covered = 0;
   delta_sweep_counter().inc();
-  ++epoch_;
   for_each_owned_in_disc(owner, pos, radius, [&](std::size_t q) {
     const std::uint32_t old = counts_[q];
     counts_[q] = old + 1;
     if (old < k_ && counts_[q] >= k_) ++newly_covered;
     apply_deficit_delta(q, old, counts_[q]);
   });
-  flush_touched();
   return newly_covered;
 }
 
@@ -376,7 +375,6 @@ void BenefitIndex::set_owner(std::size_t point_id, std::int64_t new_owner) {
       if (p == point_id) return;
       DECOR_ASSERT(benefit_[p] >= d);
       benefit_[p] -= d;
-      touch(p);
     });
     for_each_owned_in_disc(new_owner, pos, rs_, [&](std::size_t p) {
       if (p == point_id) return;
@@ -399,6 +397,8 @@ void BenefitIndex::set_owner(std::size_t point_id, std::int64_t new_owner) {
                       static_cast<std::uint32_t>(point_id));
   }
   owner_[point_id] = new_owner;
+  // The point's own snapshots were taken under its old owner, or it had
+  // none (unowned): queue its new benefit unconditionally.
   benefit_[point_id] = recompute_one(point_id);
   touch(point_id);
   flush_touched();
@@ -414,12 +414,16 @@ std::optional<BenefitIndex::Candidate> BenefitIndex::shard_best(
     const bool candidate =
         owner_[top.point] != kNoOwner && counts_[top.point] < k_ &&
         !(skip_accepted && accepted_epoch_[top.point] == select_epoch_);
-    if (candidate && benefit_[top.point] == top.benefit) {
+    const std::uint64_t live = benefit_[top.point];
+    if (candidate && live == top.benefit) {
+      // Every other candidate's best entry bounds its live benefit from
+      // above and ranks no higher, so this is the exact maximum.
       found = top;
       break;
     }
-    heap.pop();  // stale snapshot, no longer a candidate, or accepted
+    heap.pop();  // an upper bound, no longer a candidate, or accepted
     ++stale;
+    if (candidate) heap.push(Candidate{live, top.point});
   }
   if (stale > 0) stale_pop_counter().inc(stale);
   return found;
@@ -475,6 +479,9 @@ std::vector<BenefitIndex::Candidate> BenefitIndex::select_batch(
     accepted_pos.push_back(pos);
     out.push_back(*found);
   }
+  // The commit only adds discs, which queue nothing, so re-queue each
+  // winner's current benefit: an upper bound of its post-commit value.
+  for (const Candidate& c : out) queue(c.point);
   return out;
 }
 

@@ -22,12 +22,20 @@
 // (Voronoi claims). Points labelled kNoOwner contribute nothing and are
 // never candidates.
 //
-// Arg-max queries go through lazy max-heaps in the event_queue.hpp
-// spirit: entries are (benefit, point) snapshots, every benefit change
-// pushes a fresh snapshot, and stale or covered entries are skipped at
-// pop time. Tie-breaking is (benefit desc, point id asc) — the same order
-// a sequential rescan of the candidate list produces — so the index is
-// exact: placement sequences are byte-identical to naive recomputation.
+// Arg-max queries go through lazy max-heaps of (benefit, point)
+// snapshots, one per shard. The invariant is an upper bound, not
+// equality: every owned uncovered point has at least one entry whose
+// snapshot is >= its live benefit. Only a rising benefit pushes a fresh
+// snapshot (remove_disc, the gaining owner's side of set_owner, rising
+// deficits in apply_discs); adds only lower benefits and push nothing.
+// At pop time an entry whose point is no longer a candidate is dropped,
+// and one above its live benefit is re-queued at the live value. The
+// first entry equal to its live benefit is the exact maximum under
+// (benefit desc, point id asc) — the order a sequential rescan of the
+// candidate list produces — because every other candidate holds an
+// entry that ranks no higher and bounds its live benefit from above.
+// Placement sequences are therefore byte-identical to naive
+// recomputation.
 //
 // Sharding (mega-scale fields): a ShardSpec tiles the field into shards,
 // each owning the points inside its tile with its own max-heap. All
@@ -80,8 +88,8 @@ class BenefitIndex {
   /// Builds the index over `map`'s point set with the map's current
   /// coverage counts (the centralized ground-truth view). `owners` gives
   /// the per-point responsibility labels; empty means one shared owner 0.
-  /// `threads` feeds the parallel bulk rebuild and the batched sweeps
-  /// (0 = hardware default). `spec` tiles the field into shards.
+  /// `threads` feeds the batched sweeps (0 = hardware default). `spec`
+  /// tiles the field into shards.
   BenefitIndex(const CoverageMap& map, std::uint32_t k,
                std::vector<std::int64_t> owners = {},
                std::size_t threads = 0, ShardSpec spec = {});
@@ -151,12 +159,11 @@ class BenefitIndex {
   void set_owner(std::size_t point_id, std::int64_t new_owner);
 
   /// Recomputes every benefit from the current counts and owners (cold
-  /// start) with a parallel_for over points, then reseeds the per-shard
-  /// heaps in point-id order. Bit-identical for any thread count: each
-  /// point's benefit is written to its own slot and each shard's heap is
-  /// seeded from its own ascending point list (the parallel.hpp
-  /// contract).
-  void rebuild(std::size_t threads = 0);
+  /// start) and reseeds the per-shard heaps with one exact entry per
+  /// candidate. Sequential scatter: each owned deficit point adds its
+  /// deficit to the same-owner points within rs of it, which equals the
+  /// per-point Equation-1 gather because distance is symmetric.
+  void rebuild();
 
   /// Best owned uncovered candidate, (benefit desc, point id asc), or
   /// nullopt when every owned point is covered. Merges the per-shard
@@ -175,8 +182,9 @@ class BenefitIndex {
   /// their rank under the total order). Stops at the first conflict.
   ///
   /// Contract: the caller must commit the batch — apply_discs with one
-  /// add at each accepted position — before the next query; between the
-  /// two calls the heap invariant is suspended for the accepted points.
+  /// add at each accepted position — before the next query. The winners
+  /// are re-queued at their current benefits, upper bounds of their
+  /// post-commit values, since the commit's adds queue nothing.
   std::vector<Candidate> select_batch(double place_radius,
                                       std::size_t max_batch);
 
@@ -247,31 +255,34 @@ class BenefitIndex {
   /// (a grid cell or Voronoi region is usually far smaller than the
   /// disc) or the spatial disc with an owner filter. Both paths use the
   /// same membership predicate; callers must be order-independent.
-  void for_each_owned_in_disc(
-      std::int64_t own, geom::Point2 center, double radius,
-      const std::function<void(std::size_t)>& fn) const;
+  template <typename Fn>
+  void for_each_owned_in_disc(std::int64_t own, geom::Point2 center,
+                              double radius, Fn&& fn) const;
 
   std::vector<std::uint32_t>& bucket(std::int64_t own);
   void init_buckets();
 
   /// Applies a deficit change of point `q` to all same-owner candidates
-  /// within rs (the 2*rs delta update's inner half).
+  /// within rs (the 2*rs delta update's inner half); a rise touches them.
   void apply_deficit_delta(std::size_t q, std::uint32_t old_count,
                            std::uint32_t new_count);
 
   void touch(std::size_t point_id);
+  /// Queues one point's live benefit in its shard's heap if it is a
+  /// candidate.
+  void queue(std::size_t point_id);
   void flush_touched();
 
-  /// Valid top of one shard's heap after discarding stale / covered
-  /// snapshots (and, when `skip_accepted`, points already taken by the
-  /// running select_batch).
+  /// Exact top of one shard's heap: drops entries of non-candidates
+  /// (and, when `skip_accepted`, of points already taken by the running
+  /// select_batch) and re-queues upper bounds at their live benefits.
   std::optional<Candidate> shard_best(std::size_t shard,
                                       bool skip_accepted) const;
 
   std::shared_ptr<const geom::PointGridIndex> index_;
   double rs_;
   std::uint32_t k_;
-  std::size_t threads_;  // hint for rebuild and the batched sweeps
+  std::size_t threads_;  // hint for the batched sweeps
   std::vector<std::uint32_t> counts_;
   std::vector<std::int64_t> owner_;
   std::vector<std::uint64_t> benefit_;
@@ -287,13 +298,14 @@ class BenefitIndex {
   std::vector<std::uint32_t> shard_of_point_;
   std::vector<std::vector<std::uint32_t>> shard_points_;
 
-  // Lazy max-heaps of (benefit, point) snapshots, one per shard; stale
-  // and covered entries are skipped in best(). Mutable: cleaning is
-  // observationally const.
+  // Lazy max-heaps of (benefit, point) upper-bound snapshots, one per
+  // shard; best() drops covered entries and re-queues stale ones.
+  // Mutable: cleaning is observationally const.
   mutable std::vector<Heap> heaps_;
 
-  // Epoch-stamped dedup of points touched by one mutation, so each gets
-  // one fresh heap entry per event instead of one per changed neighbor.
+  // Epoch-stamped dedup of points whose benefit rose in one mutation, so
+  // each gets one fresh heap entry per event instead of one per changed
+  // neighbor.
   // Batched sweeps reuse touch_epoch_ with per-shard touched lists:
   // every slot is written only by the shard owning the point, so the
   // parallel phase-B writes stay disjoint.

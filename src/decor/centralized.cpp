@@ -12,7 +12,7 @@ DeploymentResult centralized_greedy(Field& field, EngineLimits limits) {
   result.initial_nodes = field.sensors.alive_count();
   result.rounds = 1;
 
-  // The index seeds from the map's current counts (parallel bulk rebuild)
+  // The index seeds from the map's current counts (one scatter rebuild)
   // and thereafter tracks every placement with a 2*rs delta update, so
   // each iteration's arg-max is one lazy heap query instead of a rescan.
   coverage::BenefitIndex index(map, k, {}, 0,

@@ -69,37 +69,6 @@ std::size_t PointGridIndex::cell_of(Point2 p) const noexcept {
   return iy * nx_ + ix;
 }
 
-void PointGridIndex::for_each_in_disc(
-    Point2 center, double radius,
-    const std::function<void(std::size_t)>& fn) const {
-  const double r2 = radius * radius;
-  const auto clamp_idx = [](double v, std::size_t n) {
-    if (v < 0) return std::size_t{0};
-    const auto i = static_cast<std::size_t>(v);
-    return std::min(i, n - 1);
-  };
-  const std::size_t ix0 =
-      clamp_idx((center.x - radius - bounds_.x0) / cell_size_, nx_);
-  const std::size_t ix1 =
-      clamp_idx((center.x + radius - bounds_.x0) / cell_size_, nx_);
-  const std::size_t iy0 =
-      clamp_idx((center.y - radius - bounds_.y0) / cell_size_, ny_);
-  const std::size_t iy1 =
-      clamp_idx((center.y + radius - bounds_.y0) / cell_size_, ny_);
-  for (std::size_t iy = iy0; iy <= iy1; ++iy) {
-    for (std::size_t ix = ix0; ix <= ix1; ++ix) {
-      const std::size_t c = iy * nx_ + ix;
-      // Stream the cell-ordered coordinate columns; visit order is the
-      // CSR slot order, identical to the id-array walk.
-      for (std::uint32_t i = cell_start_[c]; i < cell_start_[c + 1]; ++i) {
-        const double dx = cell_xs_[i] - center.x;
-        const double dy = cell_ys_[i] - center.y;
-        if (dx * dx + dy * dy <= r2) fn(cell_points_[i]);
-      }
-    }
-  }
-}
-
 std::vector<std::size_t> PointGridIndex::query_disc(Point2 center,
                                                     double radius) const {
   std::vector<std::size_t> out;

@@ -13,8 +13,8 @@
 // bound on exactly this loop.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "geometry/point.hpp"
@@ -39,9 +39,11 @@ class PointGridIndex {
   const std::vector<double>& xs() const noexcept { return xs_; }
   const std::vector<double>& ys() const noexcept { return ys_; }
 
-  /// Invokes `fn(id)` for every point within distance `radius` of `center`.
-  void for_each_in_disc(Point2 center, double radius,
-                        const std::function<void(std::size_t)>& fn) const;
+  /// Invokes `fn(id)` for every point within distance `radius` of
+  /// `center`: cell row by cell row, each cell in CSR slot order. A
+  /// template on the callable so the sweep inlines into its caller.
+  template <typename Fn>
+  void for_each_in_disc(Point2 center, double radius, Fn&& fn) const;
 
   /// IDs of all points within distance `radius` of `center`.
   std::vector<std::size_t> query_disc(Point2 center, double radius) const;
@@ -66,5 +68,35 @@ class PointGridIndex {
   std::vector<double> cell_xs_;
   std::vector<double> cell_ys_;
 };
+
+template <typename Fn>
+void PointGridIndex::for_each_in_disc(Point2 center, double radius,
+                                      Fn&& fn) const {
+  const double r2 = radius * radius;
+  const auto clamp_idx = [](double v, std::size_t n) {
+    if (v < 0) return std::size_t{0};
+    const auto i = static_cast<std::size_t>(v);
+    return std::min(i, n - 1);
+  };
+  const std::size_t ix0 =
+      clamp_idx((center.x - radius - bounds_.x0) / cell_size_, nx_);
+  const std::size_t ix1 =
+      clamp_idx((center.x + radius - bounds_.x0) / cell_size_, nx_);
+  const std::size_t iy0 =
+      clamp_idx((center.y - radius - bounds_.y0) / cell_size_, ny_);
+  const std::size_t iy1 =
+      clamp_idx((center.y + radius - bounds_.y0) / cell_size_, ny_);
+  for (std::size_t iy = iy0; iy <= iy1; ++iy) {
+    // Cells ix0..ix1 of one row are adjacent in the CSR layout, so the
+    // row is one contiguous slot range.
+    const std::size_t row = iy * nx_;
+    const std::uint32_t end = cell_start_[row + ix1 + 1];
+    for (std::uint32_t i = cell_start_[row + ix0]; i < end; ++i) {
+      const double dx = cell_xs_[i] - center.x;
+      const double dy = cell_ys_[i] - center.y;
+      if (dx * dx + dy * dy <= r2) fn(std::size_t{cell_points_[i]});
+    }
+  }
+}
 
 }  // namespace decor::geom

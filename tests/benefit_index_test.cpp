@@ -1,11 +1,12 @@
 // Differential tests for coverage::BenefitIndex: the incremental index
 // must be *exact* — benefits, counts and chosen placements byte-identical
 // to naive CoverageMap::benefit rescans — through full deploy / fail /
-// restore lifecycles, for owner-restricted views, and for any thread
-// count in the parallel bulk rebuild.
+// restore lifecycles, for owner-restricted views, for the scatter
+// cold-start rebuild, and for the lazy heap's upper-bound contract.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <optional>
 #include <vector>
 
@@ -56,6 +57,36 @@ void expect_matches_map(const BenefitIndex& index,
     EXPECT_EQ(lazy->point, naive->point) << phase;
     EXPECT_EQ(lazy->benefit, naive->benefit) << phase;
   }
+}
+
+/// Owner-restricted Equation-1 gather for one point from the index's
+/// public counts and labels (the per-point recompute the scatter rebuild
+/// and the delta updates must agree with).
+std::uint64_t gathered_benefit(const BenefitIndex& index, std::size_t p) {
+  const std::int64_t own = index.owner(p);
+  if (own == BenefitIndex::kNoOwner) return 0;
+  std::uint64_t b = 0;
+  index.points().for_each_in_disc(
+      index.points().point(p), index.rs(), [&](std::size_t q) {
+        if (index.owner(q) != own) return;
+        const std::uint32_t c = index.count(q);
+        if (c < index.k()) b += index.k() - c;
+      });
+  return b;
+}
+
+/// First maximum of a sequential scan over owned uncovered points,
+/// benefits gathered from scratch.
+std::optional<BenefitIndex::Candidate> rescan_best(const BenefitIndex& index) {
+  std::optional<BenefitIndex::Candidate> best;
+  for (std::size_t p = 0; p < index.num_points(); ++p) {
+    if (index.owner(p) == BenefitIndex::kNoOwner || !index.uncovered(p)) {
+      continue;
+    }
+    const std::uint64_t b = gathered_benefit(index, p);
+    if (!best || b > best->benefit) best = {b, p};
+  }
+  return best;
 }
 
 class Seeded : public ::testing::TestWithParam<std::uint64_t> {};
@@ -164,7 +195,9 @@ TEST_P(Seeded, CentralizedEnginePlacementsMatchReferenceAcrossCycles) {
 TEST_P(Seeded, OwnerRestrictedDeltasMatchNaiveRecompute) {
   // The distributed engines' usage pattern: ownership labels, per-owner
   // count updates and ownership reassignment. After every mutation the
-  // maintained benefits must equal a from-scratch owner-restricted sum.
+  // maintained benefits must equal a from-scratch owner-restricted sum,
+  // and best() a naive rescan: the lazy heap holds only upper bounds, so
+  // count-raising updates (add_disc, add_disc_owned) must not grow it.
   common::Rng op_rng(GetParam() ^ 0xbeef);
   const auto field_rect = geom::make_rect(0, 0, 30, 30);
   coverage::CoverageMap map(field_rect, lds::halton_points(field_rect, 300),
@@ -179,30 +212,12 @@ TEST_P(Seeded, OwnerRestrictedDeltasMatchNaiveRecompute) {
   }
   BenefitIndex index(map.index_ptr(), map.rs(), k, owners);
 
-  auto naive_benefit = [&](std::size_t p) -> std::uint64_t {
-    if (index.owner(p) == kNone) return 0;
-    std::uint64_t b = 0;
-    map.index().for_each_in_disc(
-        map.index().point(p), map.rs(), [&](std::size_t q) {
-          if (index.owner(q) != index.owner(p)) return;
-          const std::uint32_t c = index.count(q);
-          if (c < k) b += k - c;
-        });
-    return b;
-  };
   auto verify_all = [&](int op) {
     for (std::size_t p = 0; p < map.num_points(); ++p) {
-      ASSERT_EQ(index.benefit(p), naive_benefit(p))
+      ASSERT_EQ(index.benefit(p), gathered_benefit(index, p))
           << "op " << op << " point " << p;
     }
-    // The lazy heap must agree with a sequential owned-uncovered scan.
-    std::optional<BenefitIndex::Candidate> naive;
-    for (std::size_t p = 0; p < map.num_points(); ++p) {
-      if (index.owner(p) == kNone || index.count(p) >= k) continue;
-      if (!naive || index.benefit(p) > naive->benefit) {
-        naive = {index.benefit(p), p};
-      }
-    }
+    const auto naive = rescan_best(index);
     const auto lazy = index.best();
     ASSERT_EQ(lazy.has_value(), naive.has_value()) << "op " << op;
     if (lazy) {
@@ -217,13 +232,15 @@ TEST_P(Seeded, OwnerRestrictedDeltasMatchNaiveRecompute) {
     std::uint32_t mult;
   };
   std::vector<Added> discs;
-  for (int op = 0; op < 60; ++op) {
+  for (int op = 0; op < 300; ++op) {
     const auto choice = op_rng.below(4);
+    const std::size_t heap_before = index.heap_size();
     if (choice == 0 || discs.empty()) {
       const Added d{lds::random_point(field_rect, op_rng),
                     op_rng.uniform(1.5, 5.0),
                     1 + static_cast<std::uint32_t>(op_rng.below(2))};
       index.add_disc(d.pos, d.radius, d.mult);
+      ASSERT_LE(index.heap_size(), heap_before) << "op " << op;
       discs.push_back(d);
     } else if (choice == 1) {
       const auto i = op_rng.below(discs.size());
@@ -233,6 +250,7 @@ TEST_P(Seeded, OwnerRestrictedDeltasMatchNaiveRecompute) {
       index.add_disc_owned(lds::random_point(field_rect, op_rng),
                            op_rng.uniform(1.5, 5.0),
                            static_cast<std::int64_t>(op_rng.below(4)));
+      ASSERT_LE(index.heap_size(), heap_before) << "op " << op;
       // Owned count updates are belief-only; they are intentionally not
       // reversible through remove_disc bookkeeping here.
       discs.clear();
@@ -248,41 +266,57 @@ TEST_P(Seeded, OwnerRestrictedDeltasMatchNaiveRecompute) {
   }
 }
 
-TEST_P(Seeded, BulkRebuildBitIdenticalForAnyThreadCount) {
-  // Guards the parallel.hpp "merge sequentially" contract: the parallel
-  // cold-start rebuild must yield bit-identical benefits — and therefore
-  // bit-identical greedy placement sequences — for 1, 2 and the default
-  // number of threads.
+TEST_P(Seeded, ScatterRebuildMatchesPerPointGather) {
+  // The cold start scatters each deficit point's deficit onto its
+  // same-owner neighbours; it must equal the per-point gather for every
+  // point under each labelling the engines use: one shared owner, grid
+  // cells, Voronoi regions (nearest sensor within rc) and labels with
+  // kNoOwner holes.
   common::Rng rng(GetParam());
   const std::uint32_t k = 3;
   core::Field field(small_params(k), rng);
   field.deploy_random(40, rng);
+  const auto& pts = field.map.index();
+  const std::int64_t kNone = BenefitIndex::kNoOwner;
 
-  BenefitIndex one(field.map, k, {}, 1);
-  BenefitIndex two(field.map, k, {}, 2);
-  BenefitIndex dflt(field.map, k, {}, 0);
-  for (std::size_t p = 0; p < field.map.num_points(); ++p) {
-    ASSERT_EQ(one.benefit(p), two.benefit(p)) << p;
-    ASSERT_EQ(one.benefit(p), dflt.benefit(p)) << p;
+  std::vector<std::int64_t> cells(pts.size());
+  std::vector<std::int64_t> voronoi(pts.size(), kNone);
+  std::vector<std::int64_t> holes(pts.size());
+  for (std::size_t p = 0; p < pts.size(); ++p) {
+    const Point2 pos = pts.point(p);
+    cells[p] = static_cast<std::int64_t>(std::floor(pos.y / 8.0)) * 5 +
+               static_cast<std::int64_t>(std::floor(pos.x / 8.0));
+    double best_d = field.params.rc * field.params.rc;
+    for (const std::uint32_t id : field.sensors.alive_ids()) {
+      const double d = geom::distance_sq(pos, field.sensors.position(id));
+      if (d <= best_d && (voronoi[p] == kNone || d < best_d)) {
+        best_d = d;
+        voronoi[p] = id;
+      }
+    }
+    holes[p] = rng.bernoulli(0.3) ? kNone
+                                  : static_cast<std::int64_t>(rng.below(4));
   }
 
-  // Greedy placement sequences from the three indices stay in lockstep.
-  auto drain = [&](BenefitIndex& index) {
-    std::vector<std::size_t> picks;
-    for (int i = 0; i < 50; ++i) {
-      const auto best = index.best();
-      if (!best) break;
-      picks.push_back(best->point);
-      index.add_disc(field.map.index().point(best->point),
-                     field.params.rs);
+  const std::vector<std::pair<const char*, std::vector<std::int64_t>>>
+      labellings = {{"shared", {}},
+                    {"cells", cells},
+                    {"voronoi", voronoi},
+                    {"holes", holes}};
+  for (const auto& [name, owners] : labellings) {
+    const BenefitIndex index(field.map, k, owners);
+    for (std::size_t p = 0; p < pts.size(); ++p) {
+      ASSERT_EQ(index.benefit(p), gathered_benefit(index, p))
+          << name << " point " << p;
     }
-    return picks;
-  };
-  const auto a = drain(one);
-  const auto b = drain(two);
-  const auto c = drain(dflt);
-  EXPECT_EQ(a, b);
-  EXPECT_EQ(a, c);
+    const auto lazy = index.best();
+    const auto naive = rescan_best(index);
+    ASSERT_EQ(lazy.has_value(), naive.has_value()) << name;
+    if (lazy) {
+      EXPECT_EQ(lazy->point, naive->point) << name;
+      EXPECT_EQ(lazy->benefit, naive->benefit) << name;
+    }
+  }
 }
 
 TEST_P(Seeded, BestBelievedMatchesSequentialScan) {
@@ -327,5 +361,23 @@ TEST_P(Seeded, BestBelievedMatchesSequentialScan) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, Seeded,
                          ::testing::Values(11, 22, 33, 44, 55, 66));
+
+TEST(BenefitIndexHeap, SetOwnerQueuesAPointThatHadNoEntry) {
+  // Unowned points get no heap entry at rebuild. Claiming one must queue
+  // it even though no neighbour's benefit rose: it is then the only
+  // candidate, with its own deficit as benefit.
+  const auto field_rect = geom::make_rect(0, 0, 30, 30);
+  coverage::CoverageMap map(field_rect, lds::halton_points(field_rect, 50),
+                            3.0);
+  const std::uint32_t k = 2;
+  BenefitIndex index(map.index_ptr(), map.rs(), k,
+                     std::vector<std::int64_t>(50, BenefitIndex::kNoOwner));
+  ASSERT_FALSE(index.best().has_value());
+  index.set_owner(7, 0);
+  const auto best = index.best();
+  ASSERT_TRUE(best.has_value());
+  EXPECT_EQ(best->point, 7u);
+  EXPECT_EQ(best->benefit, k);
+}
 
 }  // namespace

@@ -25,6 +25,7 @@
 #include "geometry/point.hpp"
 #include "geometry/rect.hpp"
 #include "net/leader_election.hpp"
+#include "temp_path.hpp"
 
 namespace {
 
@@ -207,7 +208,7 @@ core::SimRunConfig diff_config(std::uint64_t seed, const std::string& dir) {
 
 TEST(ExplainDiff, LossAttributesToPropagationPhase) {
   namespace fs = std::filesystem;
-  const auto base = fs::temp_directory_path() / "decor_explain_diff";
+  const auto base = decor_test::unique_temp_path("decor_explain_diff");
   const auto clean = base / "clean";
   const auto lossy = base / "lossy";
   fs::remove_all(base);
@@ -255,7 +256,7 @@ TEST(ExplainDiff, IdenticalRunsHaveNoDominantPhase) {
 class SyntheticRunDir : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = std::filesystem::temp_directory_path() / "decor_explain_synth";
+    dir_ = decor_test::unique_temp_path("decor_explain_synth");
     std::filesystem::remove_all(dir_);
     std::filesystem::create_directories(dir_);
   }

@@ -243,6 +243,91 @@ TEST_P(Seeded, SelectBatchIsExactGreedyPrefix) {
   }
 }
 
+TEST_P(Seeded, LazyHeapStaysExactThroughSelectBatchInterleaving) {
+  // select_batch consumes its winners' heap entries and the commit's adds
+  // queue nothing, so select_batch must re-queue the winners itself.
+  // Interleave batched drains with single and batched removals and
+  // ownership changes; after every operation best() must equal a naive
+  // owned-uncovered rescan.
+  const auto params = diff_params();
+  common::Rng field_rng(GetParam());
+  core::Field field(params, field_rng);
+  const CoverageMap& map = field.map;
+  const std::int64_t kNone = BenefitIndex::kNoOwner;
+
+  auto rescan = [](const BenefitIndex& index) {
+    std::optional<BenefitIndex::Candidate> best;
+    for (std::size_t p = 0; p < index.num_points(); ++p) {
+      const std::int64_t own = index.owner(p);
+      if (own == kNone || !index.uncovered(p)) continue;
+      std::uint64_t b = 0;
+      index.points().for_each_in_disc(
+          index.points().point(p), index.rs(), [&](std::size_t q) {
+            if (index.owner(q) == own && index.uncovered(q)) {
+              b += index.k() - index.count(q);
+            }
+          });
+      if (!best || b > best->benefit) best = {b, p};
+    }
+    return best;
+  };
+
+  for (const std::size_t n : kShardCounts) {
+    common::Rng rng(GetParam() * 7 + n);
+    std::vector<std::int64_t> owners(map.num_points());
+    for (auto& o : owners) {
+      o = rng.bernoulli(0.1) ? kNone
+                             : static_cast<std::int64_t>(rng.below(3));
+    }
+    BenefitIndex index(map, params.k, owners, 0, ShardSpec{n});
+    std::vector<Point2> placed;
+    for (int op = 0; op < 150; ++op) {
+      const auto choice = rng.below(5);
+      if (choice <= 1 || placed.empty()) {
+        const auto batch = index.select_batch(map.rs(), 1 + rng.below(6));
+        std::vector<BenefitIndex::DiscDelta> discs;
+        for (const auto& c : batch) {
+          discs.push_back({map.index().point(c.point), map.rs(), 1});
+          placed.push_back(discs.back().pos);
+        }
+        index.apply_discs(discs);
+      } else if (choice == 2) {
+        const auto i = rng.below(placed.size());
+        index.remove_disc(placed[i], map.rs());
+        placed.erase(placed.begin() + static_cast<std::ptrdiff_t>(i));
+      } else if (choice == 3) {
+        // A batched failure: rising deficits must queue in phase B. One
+        // add rides along so some points see deltas of both signs.
+        std::vector<BenefitIndex::DiscDelta> discs;
+        for (std::size_t n_rm = 1 + rng.below(3); n_rm > 0 && !placed.empty();
+             --n_rm) {
+          const auto i = rng.below(placed.size());
+          discs.push_back({placed[i], map.rs(), -1});
+          placed.erase(placed.begin() + static_cast<std::ptrdiff_t>(i));
+        }
+        discs.push_back({lds::random_point(params.field, rng), map.rs(), 1});
+        placed.push_back(discs.back().pos);
+        index.apply_discs(discs);
+      } else {
+        index.set_owner(rng.below(map.num_points()),
+                        rng.bernoulli(0.15)
+                            ? kNone
+                            : static_cast<std::int64_t>(rng.below(3)));
+      }
+      const auto lazy = index.best();
+      const auto naive = rescan(index);
+      ASSERT_EQ(lazy.has_value(), naive.has_value())
+          << "shards " << n << ", op " << op;
+      if (lazy) {
+        ASSERT_EQ(lazy->point, naive->point)
+            << "shards " << n << ", op " << op;
+        ASSERT_EQ(lazy->benefit, naive->benefit)
+            << "shards " << n << ", op " << op;
+      }
+    }
+  }
+}
+
 TEST_P(Seeded, CentralizedEngineSequenceInvariantAcrossShards) {
   // End to end: the centralized engine's placements (positions, order
   // and count) must be identical for shards in {1, 2, 4, 7}.

@@ -1,4 +1,5 @@
 #include <algorithm>
+#include <cmath>
 #include <set>
 #include <vector>
 
@@ -140,14 +141,36 @@ TEST(DynamicSensorIndex, PositionLookup) {
 class SensorIndexParam : public ::testing::TestWithParam<double> {};
 
 TEST_P(SensorIndexParam, MatchesBruteForceUnderChurn) {
+  // Visit order is part of the contract (callers draw RNG numbers per
+  // visited sensor): cell row by cell row with floor-divided cell
+  // coordinates, insertion order inside a cell. The churn mixes interior
+  // positions with ones exactly on the x1/y1 edges and ones outside the
+  // bounds on every side, so dense cells, edge cells and negative
+  // overflow cells all fill, drain and refill.
   const Rect bounds = make_rect(0, 0, 50, 50);
-  DynamicSensorIndex idx(bounds, GetParam());
+  const double cell = GetParam();
+  DynamicSensorIndex idx(bounds, cell);
   decor::common::Rng rng(21);
-  std::vector<std::pair<std::uint32_t, Point2>> live;
+  std::vector<std::pair<std::uint32_t, Point2>> live;  // insertion order
   std::uint32_t next_id = 0;
-  for (int step = 0; step < 500; ++step) {
+  auto random_pos = [&]() -> Point2 {
+    switch (rng.below(4)) {
+      case 0:  // on the x1 or y1 edge
+        return rng.bernoulli(0.5) ? Point2{50.0, rng.uniform(0.0, 50.0)}
+                                  : Point2{rng.uniform(0.0, 50.0), 50.0};
+      case 1:  // outside the bounds, negative cells included
+        return {rng.uniform(-30.0, 80.0), rng.uniform(-30.0, 80.0)};
+      default:
+        return {rng.uniform(0.0, 50.0), rng.uniform(0.0, 50.0)};
+    }
+  };
+  auto cell_of = [&](Point2 p) {
+    return std::pair{static_cast<std::int64_t>(std::floor(p.y / cell)),
+                     static_cast<std::int64_t>(std::floor(p.x / cell))};
+  };
+  for (int step = 0; step < 800; ++step) {
     if (live.empty() || rng.uniform() < 0.6) {
-      const Point2 p{rng.uniform(0.0, 50.0), rng.uniform(0.0, 50.0)};
+      const Point2 p = random_pos();
       idx.insert(next_id, p);
       live.emplace_back(next_id, p);
       ++next_id;
@@ -156,15 +179,21 @@ TEST_P(SensorIndexParam, MatchesBruteForceUnderChurn) {
       idx.remove(live[victim].first);
       live.erase(live.begin() + static_cast<std::ptrdiff_t>(victim));
     }
-    if (step % 10 == 0) {
-      const Point2 c{rng.uniform(0.0, 50.0), rng.uniform(0.0, 50.0)};
-      const double r = rng.uniform(1.0, 20.0);
-      std::set<std::uint32_t> expect;
-      for (const auto& [id, p] : live) {
-        if (within(p, c, r)) expect.insert(id);
+    ASSERT_EQ(idx.size(), live.size());
+    if (step % 5 == 0) {
+      const Point2 c{rng.uniform(-20.0, 70.0), rng.uniform(-20.0, 70.0)};
+      const double r = rng.uniform(1.0, 30.0);
+      std::vector<std::pair<std::uint32_t, Point2>> expect;
+      for (const auto& m : live) {
+        if (within(m.second, c, r)) expect.push_back(m);
       }
-      const auto got = idx.query_disc(c, r);
-      EXPECT_EQ(std::set<std::uint32_t>(got.begin(), got.end()), expect);
+      std::stable_sort(expect.begin(), expect.end(),
+                       [&](const auto& a, const auto& b) {
+                         return cell_of(a.second) < cell_of(b.second);
+                       });
+      std::vector<std::uint32_t> expect_ids;
+      for (const auto& m : expect) expect_ids.push_back(m.first);
+      EXPECT_EQ(idx.query_disc(c, r), expect_ids) << "step " << step;
     }
   }
 }

@@ -22,6 +22,7 @@
 #include "decor/trace_index.hpp"
 #include "sim/trace.hpp"
 #include "sim/trace_export.hpp"
+#include "temp_path.hpp"
 
 namespace {
 
@@ -265,7 +266,7 @@ TEST(TraceIndex, DetailHelpers) {
 class TraceArtifactDir : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = std::filesystem::temp_directory_path() / "decor_trace_index_test";
+    dir_ = decor_test::unique_temp_path("decor_trace_index_test");
     std::filesystem::remove_all(dir_);
     std::filesystem::create_directories(dir_);
   }

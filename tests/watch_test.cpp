@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "decor/watch.hpp"
+#include "temp_path.hpp"
 
 namespace {
 
@@ -159,7 +160,7 @@ TEST(Watch, IngestParsesStreamsAndCountsMalformed) {
 
 TEST(Watch, FollowResyncsOverInterleavedOutput) {
   const fs::path capture =
-      fs::temp_directory_path() / "decor_watch_follow_test.dtlm";
+      decor_test::unique_temp_path("decor_watch_follow_test", ".dtlm");
   {
     std::ofstream f(capture, std::ios::binary);
     f << "grid sim: placed 40 nodes\n";  // ordinary program output
@@ -203,7 +204,7 @@ TEST(Watch, FollowResyncsOverInterleavedOutput) {
 
 TEST(Watch, FollowSurfacesDroppedFramesFromSeqGaps) {
   const fs::path capture =
-      fs::temp_directory_path() / "decor_watch_dropped_test.dtlm";
+      decor_test::unique_temp_path("decor_watch_dropped_test", ".dtlm");
   {
     std::ofstream f(capture, std::ios::binary);
     f << dtlm("timeline", 0, "{\"schema\":\"decor.timeline.v1\"}");
