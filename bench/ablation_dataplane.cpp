@@ -68,54 +68,41 @@ int main(int argc, char** argv) {
             const std::size_t trial = i % setup.trials;
             const double load = loads[l];
 
-            net::ReliableLinkParams arq;
-            arq.window = w;
-            net::DataPlaneParams data_plane;
-            data_plane.enabled = true;
-            data_plane.reading_interval = 1.0 / load;
-
+            // One trial configuration, run once per scheme on the same
+            // deployment and channel.
+            core::RunConfig run;
+            run.params = setup.base;
+            run.seed = setup.seed + trial;
+            run.run_time = horizon;
+            run.linger_after_coverage = horizon;
+            run.arq.window = w;
+            run.data_plane.enabled = true;
+            run.data_plane.reading_interval = 1.0 / load;
+            run.radio.bitrate_bps = bitrate;
             common::Rng rng = setup.trial_rng(trial, 47);
-            const auto initial = lds::random_points(
+            run.initial_positions = lds::random_points(
                 setup.base.field, setup.initial_nodes, rng);
+            // The Gilbert–Elliott chain is stateful, so each run gets a
+            // fresh one.
+            const auto set_channel = [&](core::RunConfig& cfg) {
+              if (ch.burst > 1.0) {
+                cfg.radio.propagation =
+                    std::make_shared<sim::GilbertElliottModel>(
+                        sim::GilbertElliottModel::from_loss_and_burst(
+                            ch.loss, ch.burst));
+              } else {
+                cfg.radio.loss_prob = ch.loss;
+              }
+            };
 
-            // Grid runner.
             core::SimRunConfig gcfg;
-            gcfg.params = setup.base;
-            gcfg.seed = setup.seed + trial;
-            gcfg.run_time = horizon;
-            gcfg.linger_after_coverage = horizon;
-            gcfg.arq = arq;
-            gcfg.data_plane = data_plane;
-            gcfg.radio.bitrate_bps = bitrate;
-            if (ch.burst > 1.0) {
-              gcfg.radio.propagation =
-                  std::make_shared<sim::GilbertElliottModel>(
-                      sim::GilbertElliottModel::from_loss_and_burst(
-                          ch.loss, ch.burst));
-            } else {
-              gcfg.radio.loss_prob = ch.loss;
-            }
-            gcfg.initial_positions = initial;
+            static_cast<core::RunConfig&>(gcfg) = run;
+            set_channel(gcfg);
             const auto g = core::run_grid_decor_sim(gcfg);
 
-            // Voronoi runner, same trial deployment and channel.
             core::VoronoiSimConfig vcfg;
-            vcfg.params = setup.base;
-            vcfg.seed = setup.seed + trial;
-            vcfg.run_time = horizon;
-            vcfg.linger_after_coverage = horizon;
-            vcfg.arq = arq;
-            vcfg.data_plane = data_plane;
-            vcfg.radio.bitrate_bps = bitrate;
-            if (ch.burst > 1.0) {
-              vcfg.radio.propagation =
-                  std::make_shared<sim::GilbertElliottModel>(
-                      sim::GilbertElliottModel::from_loss_and_burst(
-                          ch.loss, ch.burst));
-            } else {
-              vcfg.radio.loss_prob = ch.loss;
-            }
-            vcfg.initial_positions = initial;
+            static_cast<core::RunConfig&>(vcfg) = std::move(run);
+            set_channel(vcfg);
             const auto v = core::run_voronoi_decor_sim(vcfg);
 
             auto goodput = [](double bytes, double end) {

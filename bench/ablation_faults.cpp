@@ -110,40 +110,28 @@ int main(int argc, char** argv) {
             const std::size_t trial = i % setup.trials;
             const double rate = fc.rates[r];
 
-            net::ReliableLinkParams arq;
-            arq.window = w;
-            net::DataPlaneParams data_plane;
-            data_plane.enabled = true;
-            data_plane.reading_interval = 1.0 / load;
-
+            // One trial configuration, run once per scheme.
+            core::RunConfig run;
+            run.params = setup.base;
+            run.seed = setup.seed + trial;
+            run.run_time = 4.0 * horizon;
+            run.linger_after_coverage = horizon;
+            run.arq.window = w;
+            run.data_plane.enabled = true;
+            run.data_plane.reading_interval = 1.0 / load;
+            run.radio.loss_prob = loss;
             common::Rng rng = setup.trial_rng(trial, 53);
-            const auto initial = lds::random_points(
+            run.initial_positions = lds::random_points(
                 setup.base.field, setup.initial_nodes, rng);
+            run.fault_plan = fc.plan(rate, side);
+            run.invariant_interval = 0.5;
 
             core::SimRunConfig gcfg;
-            gcfg.params = setup.base;
-            gcfg.seed = setup.seed + trial;
-            gcfg.run_time = 4.0 * horizon;
-            gcfg.linger_after_coverage = horizon;
-            gcfg.arq = arq;
-            gcfg.data_plane = data_plane;
-            gcfg.radio.loss_prob = loss;
-            gcfg.initial_positions = initial;
-            gcfg.fault_plan = fc.plan(rate, side);
-            gcfg.invariant_interval = 0.5;
+            static_cast<core::RunConfig&>(gcfg) = run;
             const auto g = core::run_grid_decor_sim(gcfg);
 
             core::VoronoiSimConfig vcfg;
-            vcfg.params = setup.base;
-            vcfg.seed = setup.seed + trial;
-            vcfg.run_time = 4.0 * horizon;
-            vcfg.linger_after_coverage = horizon;
-            vcfg.arq = arq;
-            vcfg.data_plane = data_plane;
-            vcfg.radio.loss_prob = loss;
-            vcfg.initial_positions = initial;
-            vcfg.fault_plan = fc.plan(rate, side);
-            vcfg.invariant_interval = 0.5;
+            static_cast<core::RunConfig&>(vcfg) = std::move(run);
             const auto v = core::run_voronoi_decor_sim(vcfg);
 
             auto goodput = [](double bytes, double end) {

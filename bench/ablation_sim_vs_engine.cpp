@@ -54,12 +54,14 @@ int main(int argc, char** argv) {
       }
 
       // Event-driven protocol runs.
+      core::RunConfig run;
+      run.params = params;
+      run.initial_positions = initial;
+      run.seed = setup.seed + trial;
+      run.run_time = 240.0;
       {
         core::SimRunConfig cfg;
-        cfg.params = params;
-        cfg.initial_positions = initial;
-        cfg.seed = setup.seed + trial;
-        cfg.run_time = 240.0;
+        static_cast<core::RunConfig&>(cfg) = run;
         const auto sim = core::run_grid_decor_sim(cfg);
         table.add(k, "sim_grid_total",
                   static_cast<double>(sim.initial_nodes + sim.placed_nodes));
@@ -68,10 +70,7 @@ int main(int argc, char** argv) {
       }
       {
         core::VoronoiSimConfig cfg;
-        cfg.params = params;
-        cfg.initial_positions = initial;
-        cfg.seed = setup.seed + trial;
-        cfg.run_time = 240.0;
+        static_cast<core::RunConfig&>(cfg) = std::move(run);
         const auto sim = core::run_voronoi_decor_sim(cfg);
         table.add(k, "sim_voronoi_total",
                   static_cast<double>(sim.initial_nodes + sim.placed_nodes));

@@ -7,6 +7,7 @@
 // of a live network's traffic is the restoration protocol vs. the
 // always-on heartbeat substrate the paper's figure does not charge.
 #include <iostream>
+#include <memory>
 
 #include "decor/voronoi_sim.hpp"
 #include "fig_common.hpp"
@@ -39,46 +40,35 @@ int main(int argc, char** argv) {
   common::SeriesTable table("k");
   bench::run_jobs(jobs.size(), table, [&](std::size_t i) {
     const auto& job = jobs[i];
-    auto params = setup.base;
-    params.k = job.k;
+    core::RunConfig run;
+    run.params = setup.base;
+    run.params.k = job.k;
     common::Rng rng = setup.trial_rng(job.trial, 26);
-    const auto initial =
-        lds::random_points(params.field, setup.initial_nodes, rng);
+    run.initial_positions =
+        lds::random_points(run.params.field, setup.initial_nodes, rng);
+    run.seed = setup.seed + job.trial;
+    run.run_time = 300.0;
     const std::string tag = job.voronoi ? "voronoi" : "grid";
 
-    double deploy_tx = 0.0, steady_tx = 0.0, nodes = 1.0;
+    std::unique_ptr<core::ProtocolHarness> harness;
     if (job.voronoi) {
       core::VoronoiSimConfig cfg;
-      cfg.params = params;
-      cfg.initial_positions = initial;
-      cfg.seed = setup.seed + job.trial;
-      cfg.run_time = 300.0;
-      core::VoronoiSimHarness harness(cfg);
-      const auto r = harness.run();
-      deploy_tx = static_cast<double>(r.radio_tx);
-      nodes = static_cast<double>(r.initial_nodes + r.placed_nodes);
-      // One steady-state minute after convergence.
-      auto& sim = harness.world().sim();
-      const auto tx0 = harness.world().radio().total_tx();
-      sim.run_until(sim.now() + 60.0);
-      steady_tx =
-          static_cast<double>(harness.world().radio().total_tx() - tx0);
+      static_cast<core::RunConfig&>(cfg) = std::move(run);
+      harness = std::make_unique<core::VoronoiSimHarness>(std::move(cfg));
     } else {
       core::SimRunConfig cfg;
-      cfg.params = params;
-      cfg.initial_positions = initial;
-      cfg.seed = setup.seed + job.trial;
-      cfg.run_time = 300.0;
-      core::GridSimHarness harness(cfg);
-      const auto r = harness.run();
-      deploy_tx = static_cast<double>(r.radio_tx);
-      nodes = static_cast<double>(r.initial_nodes + r.placed_nodes);
-      auto& sim = harness.world().sim();
-      const auto tx0 = harness.world().radio().total_tx();
-      sim.run_until(sim.now() + 60.0);
-      steady_tx =
-          static_cast<double>(harness.world().radio().total_tx() - tx0);
+      static_cast<core::RunConfig&>(cfg) = std::move(run);
+      harness = std::make_unique<core::GridSimHarness>(std::move(cfg));
     }
+    const auto r = harness->run();
+    const double deploy_tx = static_cast<double>(r.radio_tx);
+    const double nodes = static_cast<double>(r.initial_nodes + r.placed_nodes);
+    // One steady-state minute after convergence.
+    auto& sim = harness->world().sim();
+    const auto tx0 = harness->world().radio().total_tx();
+    sim.run_until(sim.now() + 60.0);
+    const double steady_tx =
+        static_cast<double>(harness->world().radio().total_tx() - tx0);
     const double x = static_cast<double>(job.k);
     return std::vector<bench::Sample>{
         {x, tag + "_deploy_tx/node", deploy_tx / nodes},

@@ -13,6 +13,7 @@
 #include "common/require.hpp"
 #include "coverage/coverage_map.hpp"
 #include "decor/sim_runner.hpp"
+#include "decor/voronoi_sim.hpp"
 #include "lds/random_points.hpp"
 
 namespace {
@@ -173,6 +174,68 @@ TEST(FieldRecorderTest, HarnessForcesConvergenceSnapshot) {
   EXPECT_EQ(last->total_deficit, 0u);
   EXPECT_EQ(last->holes.size(), 0u);
   EXPECT_DOUBLE_EQ(last->t, r.finish_time);
+}
+
+// Restores a killed disc in a second run() and checks the field cadence:
+// the resumed run restarts it at the resume instant, and a tick the
+// first run() left queued must not add a snapshot of its own, on or off
+// that cadence. So the n-th periodic snapshot of the second run lies at
+// exactly resume + n * field_interval; the only other one is forced at
+// the new convergence instant.
+template <class Harness, class Config>
+void expect_resume_keeps_field_cadence(Config cfg) {
+  cfg.params.field = geom::make_rect(0, 0, 20, 20);
+  cfg.params.num_points = 200;
+  cfg.params.k = 1;
+  cfg.params.rs = 4.0;
+  cfg.params.rc = 8.0;
+  cfg.params.cell_side = 5.0;
+  cfg.seed = 6;
+  cfg.run_time = 400.0;
+  common::Rng rng(cfg.seed);
+  cfg.initial_positions = lds::random_points(cfg.params.field, 10, rng);
+  cfg.field_interval = 1.0;
+  Harness harness(cfg);
+  ASSERT_TRUE(harness.run().reached_full_coverage);
+  for (const auto id : harness.world().nodes_in_disc({10, 10}, 6.0)) {
+    harness.kill_node(id);
+  }
+  ASSERT_FALSE(harness.map().fully_covered(1));
+  const double resume = harness.world().sim().now();
+  const std::size_t before = harness.field()->snapshots().size();
+
+  const auto second = harness.run();
+  ASSERT_TRUE(second.reached_full_coverage);
+  const auto& snaps = harness.field()->snapshots();
+  ASSERT_GT(snaps.size(), before + 1);
+  std::size_t periodic = 0;
+  for (std::size_t i = before; i < snaps.size(); ++i) {
+    if (snaps[i].forced) {
+      EXPECT_DOUBLE_EQ(snaps[i].t, second.finish_time);
+      continue;
+    }
+    EXPECT_DOUBLE_EQ(snaps[i].t,
+                     resume + static_cast<double>(periodic) *
+                                  cfg.field_interval)
+        << "periodic snapshot " << periodic
+        << " is off the cadence restarted at t=" << resume;
+    ++periodic;
+  }
+}
+
+TEST(FieldRecorderTest, ResumedGridRunKeepsTheFieldCadence) {
+  core::SimRunConfig cfg;
+  cfg.placement_interval = 0.2;
+  cfg.seed_check_interval = 2.0;
+  cfg.election = net::ElectionParams{10.0, 0.05, 0.01};
+  expect_resume_keeps_field_cadence<core::GridSimHarness>(cfg);
+}
+
+TEST(FieldRecorderTest, ResumedVoronoiRunKeepsTheFieldCadence) {
+  core::VoronoiSimConfig cfg;
+  cfg.check_interval = 0.2;
+  cfg.stall_timeout = 5.0;
+  expect_resume_keeps_field_cadence<core::VoronoiSimHarness>(cfg);
 }
 
 }  // namespace

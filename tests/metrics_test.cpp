@@ -14,6 +14,7 @@
 #include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "decor/decor.hpp"
+#include "decor/voronoi_sim.hpp"
 #include "lds/random_points.hpp"
 #include "sim/trace.hpp"
 
@@ -169,6 +170,52 @@ TEST_F(MetricsTest, RadioCountersMatchSimResult) {
   // Every initial sensor plus every placement went through World::spawn.
   EXPECT_EQ(metrics().counter("sim.world.spawn").value(),
             result.initial_nodes + result.placed_nodes);
+}
+
+// Both runners publish per-run protocol counters under their own scheme
+// name. Each scheme's counters must move only for its own runs, whichever
+// ran first, and grid (which never seeds) publishes no seeded counter.
+TEST_F(MetricsTest, ProtocolCountersArePerScheme) {
+  core::RunConfig run;
+  run.params.field = geom::make_rect(0, 0, 20, 20);
+  run.params.num_points = 200;
+  run.params.k = 1;
+  run.params.rs = 4.0;
+  run.params.rc = 8.0;
+  run.params.cell_side = 5.0;
+  run.seed = 11;
+  run.run_time = 120.0;
+  common::Rng rng(run.seed);
+  run.initial_positions = lds::random_points(run.params.field, 10, rng);
+  const auto value = [](const char* name) {
+    return metrics().counter(name).value();
+  };
+
+  core::SimRunConfig gcfg;
+  static_cast<core::RunConfig&>(gcfg) = run;
+  const auto g = core::run_grid_decor_sim(gcfg);
+  EXPECT_EQ(value("protocol.grid.runs"), 1u);
+  EXPECT_EQ(value("protocol.grid.placements"), g.placed_nodes);
+  EXPECT_EQ(value("protocol.grid.covered_runs"),
+            g.reached_full_coverage ? 1u : 0u);
+  EXPECT_EQ(value("protocol.voronoi.runs"), 0u);
+  EXPECT_EQ(value("protocol.voronoi.placements"), 0u);
+
+  // An empty field makes the voronoi stall watchdog seed.
+  core::VoronoiSimConfig vcfg;
+  static_cast<core::RunConfig&>(vcfg) = run;
+  vcfg.initial_positions.clear();
+  const auto v = core::run_voronoi_decor_sim(vcfg);
+  ASSERT_GT(v.seeded_nodes, 0u);
+  EXPECT_EQ(value("protocol.voronoi.runs"), 1u);
+  EXPECT_EQ(value("protocol.voronoi.placements"), v.placed_nodes);
+  EXPECT_EQ(value("protocol.voronoi.seeded"), v.seeded_nodes);
+  EXPECT_EQ(value("protocol.voronoi.covered_runs"),
+            v.reached_full_coverage ? 1u : 0u);
+  EXPECT_EQ(value("protocol.grid.runs"), 1u);
+  EXPECT_EQ(value("protocol.grid.placements"), g.placed_nodes);
+  EXPECT_EQ(metrics().to_json().find("protocol.grid.seeded"),
+            std::string::npos);
 }
 
 TEST_F(MetricsTest, EngineCountersMatchDeploymentResult) {
