@@ -79,30 +79,24 @@ int main(int argc, char** argv) {
             run.data_plane.enabled = true;
             run.data_plane.reading_interval = 1.0 / load;
             run.radio.bitrate_bps = bitrate;
+            if (ch.burst > 1.0) {
+              run.radio.propagation =
+                  std::make_shared<sim::GilbertElliottModel>(
+                      sim::GilbertElliottModel::from_loss_and_burst(
+                          ch.loss, ch.burst));
+            } else {
+              run.radio.loss_prob = ch.loss;
+            }
             common::Rng rng = setup.trial_rng(trial, 47);
             run.initial_positions = lds::random_points(
                 setup.base.field, setup.initial_nodes, rng);
-            // The Gilbert–Elliott chain is stateful, so each run gets a
-            // fresh one.
-            const auto set_channel = [&](core::RunConfig& cfg) {
-              if (ch.burst > 1.0) {
-                cfg.radio.propagation =
-                    std::make_shared<sim::GilbertElliottModel>(
-                        sim::GilbertElliottModel::from_loss_and_burst(
-                            ch.loss, ch.burst));
-              } else {
-                cfg.radio.loss_prob = ch.loss;
-              }
-            };
 
             core::SimRunConfig gcfg;
             static_cast<core::RunConfig&>(gcfg) = run;
-            set_channel(gcfg);
             const auto g = core::run_grid_decor_sim(gcfg);
 
             core::VoronoiSimConfig vcfg;
             static_cast<core::RunConfig&>(vcfg) = std::move(run);
-            set_channel(vcfg);
             const auto v = core::run_voronoi_decor_sim(vcfg);
 
             auto goodput = [](double bytes, double end) {

@@ -29,8 +29,8 @@ int main(int argc, char** argv) {
 
   const std::vector<double> losses{0.0, 0.1, 0.2, 0.3};
   // burst <= 1 means i.i.d. loss (the radio's independent loss_prob);
-  // larger values use a per-job Gilbert–Elliott chain (the model is
-  // stateful, so instances are never shared across parallel jobs).
+  // larger values use a Gilbert–Elliott chain (each run's Radio steps
+  // its own clone of it).
   struct Variant {
     std::string label;
     double burst;

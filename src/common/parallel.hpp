@@ -1,23 +1,20 @@
-// Minimal data-parallel helper for the benchmark harnesses and the
-// coverage::BenefitIndex sharded batch sweeps.
+// Minimal data-parallel helper for the benchmark harnesses
+// (bench::run_jobs).
 //
 // Experiment sweeps are embarrassingly parallel over (configuration,
 // trial) jobs: every job owns an independent seeded RNG and field, so
 // running them on worker threads changes nothing about the results.
 // Determinism is preserved by collecting each job's output into its own
 // slot and merging sequentially afterwards — never by sharing mutable
-// state across jobs. BenefitIndex::apply_discs relies on this contract to
-// be bit-identical for any thread count (guarded by differential tests in
-// tests/sharded_index_test.cpp), so callers must not weaken it to
-// slot-free accumulation.
+// state across jobs — so the benches' --json artifacts are byte-identical
+// for any --threads (tests/json_determinism.cmake).
 //
 // Workers come from one process-wide lazily-grown pool instead of being
-// spawned per call: the sharded BenefitIndex issues a parallel sweep per
-// placement *batch*, whose work (a few hundred microseconds) would
-// otherwise be dwarfed by thread creation. Nested parallel_for calls from
-// inside a running job execute inline on the calling worker — the pool
-// never deadlocks waiting on itself — and concurrent calls from unrelated
-// threads fall back to inline execution rather than queueing.
+// spawned per call, so many short parallel regions stay cheap. Nested
+// parallel_for calls from inside a running job execute inline on the
+// calling worker — the pool never deadlocks waiting on itself — and
+// concurrent calls from unrelated threads fall back to inline execution
+// rather than queueing.
 #pragma once
 
 #include <cstddef>

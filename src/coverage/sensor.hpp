@@ -8,10 +8,9 @@
 // SensorSet owns the id space; ids are dense indices so per-sensor side
 // tables are plain vectors.
 //
-// Storage is structure-of-arrays: the mega-scale sweeps stream one field
-// at a time (all positions, or all radii) over 10^5+ sensors, and
-// parallel shard sweeps read disjoint index ranges — both want dense
-// homogeneous arrays, not an array of mixed records. Sensor is kept as
+// Storage is structure-of-arrays: the large-field sweeps stream one
+// field at a time (all positions, or all radii) over 10^5+ sensors,
+// which wants dense homogeneous arrays, not an array of mixed records. Sensor is kept as
 // the value type handed out by sensor() / for_each(), materialized from
 // the arrays on demand.
 #pragma once

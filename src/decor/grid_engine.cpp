@@ -73,8 +73,7 @@ void GridEngine::build_initial_state() {
   }
   // Beliefs start at zero coverage: a leader only knows what it is told.
   beliefs_ = std::make_unique<coverage::BenefitIndex>(
-      field_.map.index_ptr(), rs_, k_, std::move(owners), 0,
-      coverage::ShardSpec{field_.params.shards});
+      field_.map.index_ptr(), rs_, k_, std::move(owners));
   for (std::size_t c = 0; c < cells_.size(); ++c) {
     cells_[c].uncovered = cells_[c].point_ids.size();
   }

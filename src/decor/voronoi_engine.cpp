@@ -73,9 +73,8 @@ void VoronoiEngine::build_ownership() {
         });
     owners[pid] = best;
   }
-  index_ = std::make_unique<coverage::BenefitIndex>(
-      field_.map, k_, std::move(owners), 0,
-      coverage::ShardSpec{field_.params.shards});
+  index_ = std::make_unique<coverage::BenefitIndex>(field_.map, k_,
+                                                    std::move(owners));
 }
 
 void VoronoiEngine::claim_territory(std::uint32_t node, geom::Point2 pos) {

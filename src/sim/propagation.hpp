@@ -28,6 +28,11 @@ class PropagationModel {
   /// Upper bound on the distance at which reception is possible; the
   /// radio uses it to bound its neighborhood query.
   virtual double max_range(double nominal_range) const = 0;
+
+  /// A copy of this model, state included. Every Radio works on its own
+  /// clone, so a model with state (GilbertElliottModel) handed to several
+  /// worlds through one RadioParams is never shared between them.
+  virtual std::unique_ptr<PropagationModel> clone() const = 0;
 };
 
 /// The paper's model: reception iff distance <= range, deterministic.
@@ -37,6 +42,9 @@ class UnitDiscModel final : public PropagationModel {
                 common::Rng& rng) const override;
   double max_range(double nominal_range) const override {
     return nominal_range;
+  }
+  std::unique_ptr<PropagationModel> clone() const override {
+    return std::make_unique<UnitDiscModel>(*this);
   }
 };
 
@@ -50,8 +58,9 @@ class UnitDiscModel final : public PropagationModel {
 /// unit test):
 ///   pi_bad  = p_gb / (p_gb + p_bg)
 ///   loss    = (1 - pi_bad) * loss_good + pi_bad * loss_bad
-/// The state is per-instance and mutates on received(): share one
-/// instance per World and never across concurrently running worlds.
+/// The state is per-instance and mutates on received(); each Radio steps
+/// its own clone, so every world built from one config starts from the
+/// state the config's instance holds.
 class GilbertElliottModel final : public PropagationModel {
  public:
   /// `p_gb` / `p_bg` are the per-frame Good->Bad / Bad->Good transition
@@ -68,6 +77,9 @@ class GilbertElliottModel final : public PropagationModel {
                 common::Rng& rng) const override;
   double max_range(double nominal_range) const override {
     return nominal_range;
+  }
+  std::unique_ptr<PropagationModel> clone() const override {
+    return std::make_unique<GilbertElliottModel>(*this);
   }
 
   /// Long-run loss rate of the chain (closed form above).
@@ -96,6 +108,9 @@ class LogNormalShadowingModel final : public PropagationModel {
   bool received(geom::Point2 src, geom::Point2 dst, double range,
                 common::Rng& rng) const override;
   double max_range(double nominal_range) const override;
+  std::unique_ptr<PropagationModel> clone() const override {
+    return std::make_unique<LogNormalShadowingModel>(*this);
+  }
 
   /// Reception probability at distance `d` for nominal range `range`
   /// (exposed for tests and analysis).

@@ -39,7 +39,9 @@ common::Gauge& in_flight_gauge() {
 }  // namespace
 
 Radio::Radio(World& world, RadioParams params)
-    : world_(world), params_(std::move(params)) {}
+    : world_(world), params_(std::move(params)) {
+  if (params_.propagation) params_.propagation = params_.propagation->clone();
+}
 
 void Radio::note_node(std::uint32_t id) {
   if (id >= tx_.size()) {

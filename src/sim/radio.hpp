@@ -32,7 +32,8 @@ struct RadioParams {
   /// two overlapping frames at one receiver destroy each other. 0 keeps
   /// the idealized instantaneous reception.
   double bitrate_bps = 0.0;
-  /// Propagation model; null means the paper's ideal unit disc.
+  /// Propagation model; null means the paper's ideal unit disc. The
+  /// Radio steps its own clone of it (PropagationModel::clone).
   std::shared_ptr<const PropagationModel> propagation;
 };
 

@@ -2,7 +2,8 @@
 // must be *exact* — benefits, counts and chosen placements byte-identical
 // to naive CoverageMap::benefit rescans — through full deploy / fail /
 // restore lifecycles, for owner-restricted views, for the scatter
-// cold-start rebuild, and for the lazy heap's upper-bound contract.
+// cold-start rebuild, and for the lazy heap's upper-bound contract under
+// mixed add / remove / ownership mutations.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -356,6 +357,70 @@ TEST_P(Seeded, BestBelievedMatchesSequentialScan) {
   if (got) {
     EXPECT_EQ(got->point, want->point);
     EXPECT_EQ(got->benefit, want->benefit);
+  }
+}
+
+TEST_P(Seeded, LazyHeapStaysExactThroughMixedMutations) {
+  // Greedy drains (best() + add_disc) interleaved with removals, a
+  // removal burst with an add riding along (so some points see deltas of
+  // both signs), and ownership changes, under partial ownership with
+  // kNoOwner holes. After every operation best() must equal a naive
+  // owned-uncovered rescan.
+  const std::uint32_t k = 2;
+  common::Rng field_rng(GetParam());
+  core::Field field(small_params(k), field_rng);
+  const coverage::CoverageMap& map = field.map;
+  const std::int64_t kNone = BenefitIndex::kNoOwner;
+
+  common::Rng rng(GetParam() * 7 + 1);
+  std::vector<std::int64_t> owners(map.num_points());
+  for (auto& o : owners) {
+    o = rng.bernoulli(0.1) ? kNone : static_cast<std::int64_t>(rng.below(3));
+  }
+  BenefitIndex index(map, k, owners);
+
+  auto expect_exact = [&](int op) {
+    const auto lazy = index.best();
+    const auto naive = rescan_best(index);
+    ASSERT_EQ(lazy.has_value(), naive.has_value()) << "op " << op;
+    if (lazy) {
+      ASSERT_EQ(lazy->point, naive->point) << "op " << op;
+      ASSERT_EQ(lazy->benefit, naive->benefit) << "op " << op;
+    }
+  };
+  auto remove_one = [&](std::vector<Point2>& placed) {
+    const auto i = rng.below(placed.size());
+    index.remove_disc(placed[i], map.rs());
+    placed.erase(placed.begin() + static_cast<std::ptrdiff_t>(i));
+  };
+
+  std::vector<Point2> placed;
+  for (int op = 0; op < 150; ++op) {
+    const auto choice = rng.below(5);
+    if (choice <= 1 || placed.empty()) {
+      for (std::size_t n = 1 + rng.below(6); n > 0; --n) {
+        const auto best = index.best();
+        if (!best) break;
+        placed.push_back(map.index().point(best->point));
+        index.add_disc(placed.back(), map.rs());
+        expect_exact(op);
+      }
+    } else if (choice == 2) {
+      remove_one(placed);
+    } else if (choice == 3) {
+      for (std::size_t n = 1 + rng.below(3); n > 0 && !placed.empty(); --n) {
+        remove_one(placed);
+        expect_exact(op);
+      }
+      placed.push_back(lds::random_point(field.params.field, rng));
+      index.add_disc(placed.back(), map.rs());
+    } else {
+      index.set_owner(rng.below(map.num_points()),
+                      rng.bernoulli(0.15)
+                          ? kNone
+                          : static_cast<std::int64_t>(rng.below(3)));
+    }
+    expect_exact(op);
   }
 }
 

@@ -223,4 +223,34 @@ TEST(Chaos, SeededLossyVoronoiRunsAreByteDeterministic) {
   EXPECT_EQ(a.arq.acks_sent, b.arq.acks_sent);
 }
 
+TEST(Chaos, OneBurstyConfigRunTwiceGivesIdenticalRuns) {
+  // The Gilbert–Elliott chain has state. Each Radio steps its own clone
+  // of the config's model, so a second run from the same config must not
+  // start from the channel state the first run left behind (at seed 6 on
+  // this 30x30 field a shared chain changes both schemes' radio_tx).
+  const geom::Rect field = geom::make_rect(0, 0, 30, 30);
+  auto gcfg = grid_small(6);
+  gcfg.params.field = field;
+  gcfg.params.num_points = 450;
+  common::Rng rng(6);
+  gcfg.initial_positions = lds::random_points(field, 10, rng);
+  gcfg.radio.propagation = bursty(0.2, 4.0);
+  const auto g1 = core::run_grid_decor_sim(gcfg);
+  const auto g2 = core::run_grid_decor_sim(gcfg);
+  EXPECT_EQ(g1.radio_tx, g2.radio_tx);
+  EXPECT_EQ(g1.radio_rx, g2.radio_rx);
+  EXPECT_EQ(g1.placements, g2.placements);
+
+  auto vcfg = voronoi_small(6);
+  vcfg.params.field = field;
+  vcfg.params.num_points = 450;
+  vcfg.initial_positions = gcfg.initial_positions;
+  vcfg.radio.propagation = bursty(0.2, 4.0);
+  const auto v1 = core::run_voronoi_decor_sim(vcfg);
+  const auto v2 = core::run_voronoi_decor_sim(vcfg);
+  EXPECT_EQ(v1.radio_tx, v2.radio_tx);
+  EXPECT_EQ(v1.radio_rx, v2.radio_rx);
+  EXPECT_EQ(v1.placements, v2.placements);
+}
+
 }  // namespace

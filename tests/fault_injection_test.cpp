@@ -132,6 +132,10 @@ class ScriptedLoss final : public sim::PropagationModel {
   double max_range(double nominal_range) const override {
     return nominal_range;
   }
+  // The copy shares the test-owned predicate and whatever it captures.
+  std::unique_ptr<sim::PropagationModel> clone() const override {
+    return std::make_unique<ScriptedLoss>(*this);
+  }
 
  private:
   Drop drop_;

@@ -130,9 +130,9 @@ TEST(ParallelFor, InlineRunsReportZeroWorkers) {
 }
 
 TEST(ParallelFor, NestedCallsRunInlineWithoutDeadlock) {
-  // A job that itself calls parallel_for (BenefitIndex::rebuild inside a
-  // run_jobs job) must not re-enter the pool: the nested call runs
-  // inline on the worker, engaging zero extra workers.
+  // A job that itself calls parallel_for (a run_jobs job whose own work
+  // is parallel) must not re-enter the pool: the nested call runs inline
+  // on the worker, engaging zero extra workers.
   std::atomic<std::size_t> nested_engaged{0};
   std::atomic<int> inner_calls{0};
   parallel_for(
@@ -148,8 +148,8 @@ TEST(ParallelFor, NestedCallsRunInlineWithoutDeadlock) {
 }
 
 TEST(ParallelFor, PoolIsReusedAcrossManySmallCalls) {
-  // The per-batch hot path: thousands of short parallel regions must
-  // work back to back (persistent pool, no per-call thread spawn).
+  // Thousands of short parallel regions must work back to back
+  // (persistent pool, no per-call thread spawn).
   std::atomic<long> total{0};
   for (int round = 0; round < 2000; ++round) {
     parallel_for(8, [&](std::size_t i) { total += static_cast<long>(i); },

@@ -29,6 +29,7 @@
 #include <memory>
 #include <optional>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -148,9 +149,6 @@ core::DecorParams params_from(const common::Options& opts) {
   p.rc = opts.get_double("rc", 2.0 * p.rs);
   p.cell_side = opts.get_double("cell", 5.0);
   p.num_points = static_cast<std::size_t>(opts.get_int("points", 2000));
-  // --shards=N tiles the field for the sharded BenefitIndex; 0 = one
-  // shard per hardware thread. Placements are identical for every value.
-  p.shards = static_cast<std::size_t>(opts.get_int("shards", 1));
   const std::string kind = opts.get("point-kind", "halton");
   if (kind == "hammersley") p.point_kind = core::PointKind::kHammersley;
   if (kind == "random") p.point_kind = core::PointKind::kRandom;
@@ -160,10 +158,13 @@ core::DecorParams params_from(const common::Options& opts) {
 
 core::Scheme scheme_from(const common::Options& opts) {
   const std::string s = opts.get("scheme", "grid");
-  if (s == "centralized") return core::Scheme::kCentralized;
-  if (s == "random") return core::Scheme::kRandom;
-  if (s == "voronoi") return core::Scheme::kVoronoi;
-  return core::Scheme::kGrid;
+  for (const auto scheme : {core::Scheme::kCentralized, core::Scheme::kRandom,
+                            core::Scheme::kGrid, core::Scheme::kVoronoi}) {
+    if (s == core::to_string(scheme)) return scheme;
+  }
+  throw std::invalid_argument(
+      "unknown --scheme=" + s +
+      " (expected centralized, random, grid or voronoi)");
 }
 
 void report_deployment(const core::Field& field,
@@ -231,6 +232,7 @@ core::EngineLimits field_limits(coverage::FieldRecorder* rec,
 }
 
 int cmd_deploy(const common::Options& opts, CliReport& rep) {
+  const auto scheme = scheme_from(opts);
   const auto params = params_from(opts);
   common::Rng rng(static_cast<std::uint64_t>(opts.get_int("seed", 1)));
   core::Field field(params, rng);
@@ -240,7 +242,7 @@ int cmd_deploy(const common::Options& opts, CliReport& rep) {
   if (field_rec) field_rec->snapshot(0.0, field.map, false);
   const auto every =
       static_cast<std::size_t>(opts.get_int("field-every", 25));
-  const auto result = core::run_engine(scheme_from(opts), field, rng,
+  const auto result = core::run_engine(scheme, field, rng,
                                        field_limits(field_rec.get(), every));
   if (field_rec) {
     field_rec->snapshot(static_cast<double>(result.placed_nodes), field.map,
@@ -411,6 +413,11 @@ int report_sim(const std::string& scheme, core::ProtocolHarness& harness,
 }
 
 int cmd_sim(const common::Options& opts, CliReport& rep) {
+  const std::string s = opts.get("scheme", "grid");
+  if (s != "grid" && s != "voronoi") {
+    throw std::invalid_argument("unknown --scheme=" + s +
+                                " for sim (expected grid or voronoi)");
+  }
   core::RunConfig cfg;
   cfg.params = params_from(opts);
   cfg.seed = static_cast<std::uint64_t>(opts.get_int("seed", 1));
@@ -514,7 +521,6 @@ int cmd_sim(const common::Options& opts, CliReport& rep) {
   // --linger keeps the sim alive that many seconds past convergence so
   // data-plane goodput is measured over a fixed horizon.
   cfg.linger_after_coverage = opts.get_double("linger", 0.0);
-  const std::string s = opts.get("scheme", "grid");
   rep.add("scheme", s);
   rep.add("loss", loss);
   rep.add("burst", burst);
@@ -1311,7 +1317,7 @@ void usage() {
       "  bench diff    compare two decor.bench.v1 docs; --fail-over=PCT\n"
       "                exits 3 when any metric moved more than PCT%\n\n"
       "common flags: --k --rs --rc --side --points --initial --seed "
-      "--cell --point-kind --shards\n"
+      "--cell --point-kind\n"
       "telemetry: --json[=path] writes a decor.cli.v1 report (metrics "
       "snapshot included);\n"
       "  sim also takes --trace --trace-cap=N --trace-jsonl=path\n"
