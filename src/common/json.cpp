@@ -1,8 +1,8 @@
 #include "common/json.hpp"
 
+#include <algorithm>
 #include <charconv>
 #include <cmath>
-#include <cstdio>
 
 #include "common/require.hpp"
 
@@ -14,19 +14,20 @@ std::string format_double(double v) {
   return out;
 }
 
-void append_double(std::string& out, double v) {
-  if (std::isnan(v)) {
-    out += "nan";
-    return;
-  }
-  if (std::isinf(v)) {
-    out += v > 0.0 ? "inf" : "-inf";
-    return;
-  }
-  char buf[32];
-  const auto res = std::to_chars(buf, buf + sizeof buf, v);
+char* write_double(char* first, double v) noexcept {
+  const auto copy = [first](std::string_view text) {
+    return std::copy(text.begin(), text.end(), first);
+  };
+  if (std::isnan(v)) return copy("nan");
+  if (std::isinf(v)) return copy(v > 0.0 ? "inf" : "-inf");
+  const auto res = std::to_chars(first, first + kMaxDoubleChars, v);
   DECOR_ASSERT(res.ec == std::errc{});
-  out.append(buf, res.ptr);
+  return res.ptr;
+}
+
+void append_double(std::string& out, double v) {
+  char buf[kMaxDoubleChars];
+  out.append(buf, write_double(buf, v));
 }
 
 std::string json_escape(std::string_view s) {
@@ -37,7 +38,15 @@ std::string json_escape(std::string_view s) {
 }
 
 void append_json_escaped(std::string& out, std::string_view s) {
-  for (const char c : s) {
+  // Text that needs no escape (every record detail the simulator itself
+  // writes) is copied in runs; only the escaped bytes are handled one
+  // at a time.
+  std::size_t run = 0;
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    const auto c = static_cast<unsigned char>(s[i]);
+    if (c >= 0x20 && c != '"' && c != '\\') continue;
+    out.append(s.data() + run, i - run);
+    run = i + 1;
     switch (c) {
       case '"':
         out += "\\\"";
@@ -54,17 +63,14 @@ void append_json_escaped(std::string& out, std::string_view s) {
       case '\r':
         out += "\\r";
         break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out += c;
-        }
+      default: {
+        static constexpr char kHex[] = "0123456789abcdef";
+        const char esc[] = {'\\', 'u', '0', '0', kHex[c >> 4], kHex[c & 15]};
+        out.append(esc, sizeof esc);
+      }
     }
   }
+  out.append(s.data() + run, s.size() - run);
 }
 
 void JsonWriter::pre_value() {

@@ -25,6 +25,12 @@ namespace decor::common {
 std::string format_double(double v);
 /// format_double appended to `out` (no temporary string).
 void append_double(std::string& out, double v);
+/// Room write_double needs: the longest shortest-form double is 24
+/// characters ("-2.2250738585072014e-308").
+inline constexpr std::size_t kMaxDoubleChars = 32;
+/// format_double written to `first`, which must have kMaxDoubleChars
+/// bytes of room; returns one past the last character written.
+char* write_double(char* first, double v) noexcept;
 
 /// `s` with JSON string escapes applied (quotes, backslash, control
 /// characters as \u00XX), without surrounding quotes.

@@ -30,9 +30,18 @@ class Options {
     return positional_;
   }
 
+  /// Declares every flag the command reads and returns the first given
+  /// flag outside `known` (empty when there is none). From then on,
+  /// reading an undeclared flag throws std::logic_error, so a
+  /// declaration cannot fall behind the code that reads the flags.
+  std::string declare(std::vector<std::string> known);
+
  private:
+  void check_declared(const std::string& key) const;
+
   std::map<std::string, std::string> kv_;
   std::vector<std::string> positional_;
+  std::vector<std::string> known_;  // empty until declare()
 };
 
 }  // namespace decor::common

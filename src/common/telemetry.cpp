@@ -57,6 +57,7 @@ std::unique_ptr<TelemetrySink> TelemetryBus::remove_sink(SinkId id) {
       std::unique_ptr<TelemetrySink> sink = std::move(it->sink);
       sinks_.erase(it);
       sink->flush();
+      if (removed_failure_.empty()) removed_failure_ = sink->failure();
       return sink;
     }
   }
@@ -92,11 +93,58 @@ void TelemetryBus::flush() {
   for (auto& entry : sinks_) entry.sink->flush();
 }
 
+void TelemetryBus::checkpoint() {
+  for (auto& entry : sinks_) entry.sink->checkpoint();
+}
+
+std::string TelemetryBus::failure() const {
+  if (!removed_failure_.empty()) return removed_failure_;
+  for (const auto& entry : sinks_) {
+    std::string f = entry.sink->failure();
+    if (!f.empty()) return f;
+  }
+  return {};
+}
+
 JsonlFileSink::JsonlFileSink(const std::string& path, TelemetryStream stream)
-    : stream_(stream), out_(path) {}
+    : stream_(stream), path_(path), file_(std::fopen(path.c_str(), "wb")) {
+  // The sink does its own block buffering; stdio's would only copy.
+  if (file_ != nullptr) std::setvbuf(file_, nullptr, _IONBF, 0);
+}
+
+JsonlFileSink::~JsonlFileSink() {
+  if (file_ == nullptr) return;
+  write_buffer();
+  if (std::fclose(file_) != 0 && error_ == 0) error_ = errno;
+  if (error_ != 0 && !failure_taken_) DECOR_LOG_ERROR(failure());
+}
 
 void JsonlFileSink::on_event(const TelemetryEvent& e) {
-  out_ << e.line << '\n';
+  const std::size_t n = e.line.size() + 1;
+  if (buffer_.size() + n > buffer_.capacity()) {
+    write_buffer();
+    // Full-size blocks from the first record on; a header line alone
+    // (published when the sink is set up) allocates only its own size.
+    if (!e.header) buffer_.reserve(kBlockBytes);
+  }
+  buffer_.append(e.line.data(), e.line.size());
+  buffer_ += '\n';
+}
+
+void JsonlFileSink::write_buffer() {
+  if (file_ != nullptr && error_ == 0 && !buffer_.empty() &&
+      std::fwrite(buffer_.data(), 1, buffer_.size(), file_) !=
+          buffer_.size()) {
+    error_ = errno != 0 ? errno : EIO;
+  }
+  buffer_.clear();
+}
+
+std::string JsonlFileSink::failure() const {
+  if (error_ == 0) return {};
+  failure_taken_ = true;
+  return std::string("cannot write ") + telemetry_stream_name(stream_) +
+         " JSONL sink: " + path_ + " (" + std::strerror(error_) + ")";
 }
 
 FrameStreamSink::FrameStreamSink(const std::string& target,

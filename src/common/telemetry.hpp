@@ -29,6 +29,7 @@
 
 #include <array>
 #include <cstdint>
+#include <cstdio>
 #include <fstream>
 #include <memory>
 #include <string>
@@ -74,8 +75,14 @@ class TelemetrySink {
     return true;
   }
   virtual void on_event(const TelemetryEvent& e) = 0;
-  /// Push any buffered state out (end of run, flight dump).
+  /// Push any buffered state out (end of run).
   virtual void flush() {}
+  /// Push buffered bytes out mid-run (flight dump, error path) without
+  /// ending the stream: unlike flush(), never triggers an export.
+  virtual void checkpoint() {}
+  /// Non-empty (one line naming the destination) once the sink has lost
+  /// output it was given.
+  virtual std::string failure() const { return {}; }
 };
 
 class TelemetryBus {
@@ -100,6 +107,10 @@ class TelemetryBus {
   bool has_sink_for(TelemetryStream s) const noexcept;
 
   void flush();
+  void checkpoint();
+  /// The first failure() of an attached sink, or of one removed since;
+  /// empty while every sink's output is intact.
+  std::string failure() const;
 
   std::size_t num_sinks() const noexcept { return sinks_.size(); }
   std::uint64_t events_published() const noexcept { return published_; }
@@ -115,28 +126,46 @@ class TelemetryBus {
   /// Headers in publication order (stream, line) for late-sink replay.
   std::vector<std::pair<TelemetryStream, std::string>> headers_;
   std::uint64_t published_ = 0;
+  std::string removed_failure_;  // first failure of a removed sink
 };
 
 /// The classic artifact file: writes every line of one stream, newline
 /// terminated, in delivery order — byte-identical to the pre-bus
-/// per-producer ofstreams.
+/// per-producer ofstreams. Lines collect in a buffer of about
+/// kBlockBytes that is written to the file in one call when full, on
+/// flush()/checkpoint() and on destruction. A failed write is kept as
+/// failure(); later output to the sink is discarded. A failure nobody
+/// asked for by destruction time is logged then.
 class JsonlFileSink : public TelemetrySink {
  public:
+  static constexpr std::size_t kBlockBytes = std::size_t{1} << 20;
+
   JsonlFileSink(const std::string& path, TelemetryStream stream);
+  ~JsonlFileSink() override;
+  JsonlFileSink(const JsonlFileSink&) = delete;
+  JsonlFileSink& operator=(const JsonlFileSink&) = delete;
 
   /// False when the file could not be opened (the caller should not
   /// attach a dead sink).
-  bool ok() const noexcept { return out_.is_open(); }
+  bool ok() const noexcept { return file_ != nullptr; }
 
   bool wants(TelemetryStream s) const noexcept override {
     return s == stream_;
   }
   void on_event(const TelemetryEvent& e) override;
-  void flush() override { out_.flush(); }
+  void flush() override { write_buffer(); }
+  void checkpoint() override { write_buffer(); }
+  std::string failure() const override;
 
  private:
+  void write_buffer();
+
   TelemetryStream stream_;
-  std::ofstream out_;
+  std::string path_;
+  std::FILE* file_ = nullptr;
+  std::string buffer_;
+  int error_ = 0;  // errno of the first failed write; 0 while intact
+  mutable bool failure_taken_ = false;  // failure() handed it to a caller
 };
 
 /// Live length-prefixed stream for `decor watch` and other tailers.

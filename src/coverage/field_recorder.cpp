@@ -72,9 +72,13 @@ bool FieldRecorder::open_jsonl(const std::string& path) {
   return true;
 }
 
-void FieldRecorder::close_jsonl() {
-  if (file_sink_ != 0 && bus_) bus_->remove_sink(file_sink_);
+std::string FieldRecorder::close_jsonl() {
+  std::string failure;
+  if (file_sink_ != 0 && bus_) {
+    if (auto sink = bus_->remove_sink(file_sink_)) failure = sink->failure();
+  }
   file_sink_ = 0;
+  return failure;
 }
 
 const FieldSnapshot& FieldRecorder::snapshot(double t, const CoverageMap& map,

@@ -82,7 +82,9 @@ class FieldRecorder {
   /// header emitted immediately); logs and returns false when the file
   /// cannot be opened.
   bool open_jsonl(const std::string& path);
-  void close_jsonl();
+  /// Closes the sink; returns its failure() line, empty when every
+  /// snapshot reached the file.
+  std::string close_jsonl();
 
   /// Takes one snapshot of `map`'s current counts (appends in memory,
   /// streams when a sink is open) and returns it.

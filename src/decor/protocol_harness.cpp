@@ -1,6 +1,7 @@
 #include "decor/protocol_harness.hpp"
 
 #include <algorithm>
+#include <stdexcept>
 
 #include "common/metrics.hpp"
 #include "common/otlp.hpp"
@@ -99,6 +100,14 @@ ProtocolHarness::ProtocolHarness(RunConfig&& cfg, double range,
                       "cannot open trace JSONL sink: " + cfg_.trace_jsonl);
   }
   if (cfg_.trace || !cfg_.trace_jsonl.empty()) world_->trace().enable(true);
+  // Records stay in memory only when something reads them back: --trace
+  // (and the Perfetto export), a bounded ring, or a flight bundle. A
+  // JSONL or OTLP stream alone takes each record as it is made.
+  const bool read_back = cfg_.trace || cfg_.trace_capacity > 0 ||
+                         !cfg_.flight_dir.empty();
+  if (!read_back && (!cfg_.trace_jsonl.empty() || !cfg_.otlp.empty())) {
+    world_->trace().retain(false);
+  }
   if (!cfg_.timeline_jsonl.empty()) {
     DECOR_REQUIRE_MSG(timeline_.open_jsonl(cfg_.timeline_jsonl),
                       "cannot open timeline JSONL sink: " + cfg_.timeline_jsonl);
@@ -315,6 +324,9 @@ void ProtocolHarness::dump_flight_bundle(const std::string& reason,
       info.metrics_jsonl += line + "\n";
     }
   }
+  // The bundle is a checkpoint: the streamed artifacts on disk catch up
+  // with it.
+  bus_.checkpoint();
   sim::write_flight_bundle(cfg_.flight_dir, info, world_->trace(),
                            &timeline_);
 }
@@ -414,8 +426,10 @@ RunResult ProtocolHarness::run() {
     world_->sim().run_until(cfg_.run_time);
   } catch (const std::exception& e) {
     // Best-effort post-mortem before the error propagates: the in-memory
-    // trace/timeline/metrics are exactly what debugging needs.
+    // trace/timeline/metrics are exactly what debugging needs, and the
+    // buffered streams must reach their files.
     if (!cfg_.flight_dir.empty()) dump_flight_bundle("exception", e.what());
+    bus_.checkpoint();
     throw;
   }
 
@@ -460,6 +474,11 @@ RunResult ProtocolHarness::run() {
   // End-of-run barrier for buffered sinks: the OTLP exporter writes its
   // document here, the live stream drains its pending frames.
   bus_.flush();
+  // A sink that lost output fails the run: an artifact cut short (a full
+  // disk) must not pass for a complete one.
+  if (std::string failure = bus_.failure(); !failure.empty()) {
+    throw std::runtime_error(failure);
+  }
   // Whole frames the live stream shed (TCP backpressure drops entire
   // DTLM frames, never partial ones) — counted after the flush so the
   // final drain is included. Delta since the last run() on this harness.

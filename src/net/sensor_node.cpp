@@ -20,9 +20,11 @@ void SensorNode::on_start() {
           // The declaration lands in the trace so post-hoc analysis
           // (`decor explain` health scores) can count who gave up on
           // whom without the live ArqStats.
-          world().trace().record(world().sim().now(),
-                                 sim::TraceKind::kProtocol, id(),
-                                 "dead-peer=" + std::to_string(peer));
+          auto& trace = world().trace();
+          if (trace.enabled()) {
+            trace.record(world().sim().now(), sim::TraceKind::kProtocol, id(),
+                         "dead-peer=" + std::to_string(peer));
+          }
           const auto entry = table_.get(peer);
           table_.forget(peer);
           if (data_plane_) data_plane_->on_peer_dead(peer);

@@ -38,18 +38,20 @@ bool write_flight_bundle(const std::string& dir, const FlightBundleInfo& info,
   }
   const fs::path root(dir);
 
-  const auto records = trace.chronological();
   {
     std::ofstream out;
     if (!open_for_write(root / "trace.jsonl", out)) return false;
-    std::string line;
-    for (const auto& r : records) {
-      line.clear();
-      append_trace_record_json(line, r.seq, r.at, r.kind, r.node, r.trace_id,
-                               r.detail);
-      line += '\n';
-      out << line;
-    }
+    // Same formatter as the live stream, written in large blocks.
+    std::string block;
+    trace.for_each([&](const TraceSlot& s) {
+      trace.append_json(block, s);
+      block += '\n';
+      if (block.size() >= (1u << 20)) {
+        out << block;
+        block.clear();
+      }
+    });
+    out << block;
   }
 
   std::size_t timeline_written = 0;
@@ -105,7 +107,7 @@ bool write_flight_bundle(const std::string& dir, const FlightBundleInfo& info,
     w.key("detail");
     w.value(info.detail);
     w.key("trace_records");
-    w.value(static_cast<std::uint64_t>(records.size()));
+    w.value(static_cast<std::uint64_t>(trace.records().size()));
     w.key("trace_total_recorded");
     w.value(trace.total_recorded());
     w.key("trace_dropped");

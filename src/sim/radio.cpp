@@ -68,9 +68,9 @@ void Radio::charge_tx(NodeProcess& src, const Message& msg) {
                     src.budget_.tx_per_byte_j *
                         static_cast<double>(msg.size_bytes));
   if (world_.trace().enabled()) {
-    world_.trace().record(world_.sim().now(), TraceKind::kTx, src.id(),
-                          "kind=" + std::to_string(msg.kind),
-                          msg.trace_id);
+    world_.trace().record_message(world_.sim().now(), TraceKind::kTx, src.id(),
+                                  TraceShape::kKind, msg.kind, msg.src,
+                                  msg.trace_id);
   }
 }
 
@@ -210,10 +210,9 @@ void Radio::receive(std::uint32_t slot) {
                            node.budget_.rx_per_byte_j *
                                static_cast<double>(msg.size_bytes));
     if (world_.trace().enabled()) {
-      world_.trace().record(world_.sim().now(), TraceKind::kDrop, dst,
-                            "crc kind=" + std::to_string(msg.kind) +
-                                " from=" + std::to_string(msg.src),
-                            msg.trace_id);
+      world_.trace().record_message(world_.sim().now(), TraceKind::kDrop, dst,
+                                    TraceShape::kCrcKindFrom, msg.kind, msg.src,
+                                    msg.trace_id);
     }
     return;
   }
@@ -226,10 +225,9 @@ void Radio::receive(std::uint32_t slot) {
                              static_cast<double>(msg.size_bytes));
   if (!node.alive()) return;  // the rx itself drained the battery
   if (world_.trace().enabled()) {
-    world_.trace().record(world_.sim().now(), TraceKind::kRx, dst,
-                          "kind=" + std::to_string(msg.kind) +
-                              " from=" + std::to_string(msg.src),
-                          msg.trace_id);
+    world_.trace().record_message(world_.sim().now(), TraceKind::kRx, dst,
+                                  TraceShape::kKindFrom, msg.kind, msg.src,
+                                  msg.trace_id);
   }
   node.on_message(msg);
 }
@@ -249,9 +247,9 @@ void Radio::broadcast(NodeProcess& src, const Message& msg, double range) {
       ++total_dropped_;
       drop_counter().inc();
       if (world_.trace().enabled()) {
-        world_.trace().record(world_.sim().now(), TraceKind::kDrop, dst,
-                              "kind=" + std::to_string(msg.kind),
-                              msg.trace_id);
+        world_.trace().record_message(world_.sim().now(), TraceKind::kDrop, dst,
+                                      TraceShape::kKind, msg.kind, msg.src,
+                                      msg.trace_id);
       }
       continue;
     }
@@ -270,9 +268,9 @@ bool Radio::unicast(NodeProcess& src, std::uint32_t dst, const Message& msg,
     ++total_dropped_;
     drop_counter().inc();
     if (world_.trace().enabled()) {
-      world_.trace().record(world_.sim().now(), TraceKind::kDrop, dst,
-                            "kind=" + std::to_string(msg.kind),
-                            msg.trace_id);
+      world_.trace().record_message(world_.sim().now(), TraceKind::kDrop, dst,
+                                    TraceShape::kKind, msg.kind, msg.src,
+                                    msg.trace_id);
     }
   };
   if (dst >= world_.num_nodes() || !world_.alive(dst)) {

@@ -140,6 +140,96 @@ class CliReport {
   std::vector<Entry> entries_;
 };
 
+/// The flags each subcommand reads, besides --json and --help, which
+/// every subcommand accepts. `watch` is absent: it checks its own flags,
+/// since everything after its "--" belongs to the child command.
+const std::map<std::string, std::vector<std::string>>& subcommand_flags() {
+  static const auto table = [] {
+    // params_from()
+    const std::vector<std::string> params = {"side", "k",      "rs",
+                                             "rc",   "cell",   "points",
+                                             "point-kind"};
+    const auto with_params = [&](std::vector<std::string> flags) {
+      flags.insert(flags.end(), params.begin(), params.end());
+      return flags;
+    };
+    return std::map<std::string, std::vector<std::string>>{
+        {"deploy", with_params({"scheme", "seed", "initial", "map", "dump",
+                                "field-jsonl", "field-raster",
+                                "field-every"})},
+        {"restore",
+         with_params({"scheme", "seed", "initial", "failure", "fraction",
+                      "radius", "field-jsonl", "field-raster",
+                      "field-every"})},
+        {"sim",
+         with_params({"scheme", "seed", "initial", "run-time", "trace",
+                      "trace-cap", "trace-jsonl", "trace-perfetto",
+                      "timeline", "timeline-jsonl", "timeline-arq",
+                      "flight-dir", "field", "field-jsonl", "field-raster",
+                      "audit", "audit-jsonl", "metrics", "metrics-jsonl",
+                      "telemetry", "otlp", "profile", "loss", "burst",
+                      "kill-leader-at", "fault-plan", "invariants", "window",
+                      "load", "bitrate", "linger"})},
+        {"discrepancy", {"n", "seed"}},
+        {"lifetime",
+         with_params({"scheme", "seed", "initial", "battery", "epochs"})},
+        {"peas",
+         with_params({"seed", "initial", "rp", "mean-sleep", "run-time"})},
+        {"connectivity", with_params({"scheme", "seed", "initial", "kappa"})},
+        {"trace", {"in", "top"}},
+        {"explain", {"top", "out"}},
+        {"report", {"out", "max-heatmaps", "max-audit-rows"}},
+        {"bench", {"fail-over"}},
+    };
+  }();
+  return table;
+}
+
+/// The values an enumerated flag accepts (empty for a free-form flag).
+std::vector<std::string> flag_choices(const std::string& cmd,
+                                      const std::string& flag) {
+  if (flag == "scheme") {
+    if (cmd == "sim") return {"grid", "voronoi"};
+    return {"centralized", "random", "grid", "voronoi"};
+  }
+  if (flag == "failure") return {"area", "random"};
+  if (flag == "point-kind") {
+    return {"halton", "hammersley", "random", "jittered"};
+  }
+  for (const char* b : {"map", "dump", "trace", "audit", "timeline-arq",
+                        "profile", "kappa", "plain"}) {
+    if (flag == b) return {"true", "false", "1", "0", "yes", "no"};
+  }
+  return {};
+}
+
+/// Declares `known` (plus --json and --help) on `opts` and throws
+/// std::invalid_argument, naming the flag, for an undeclared flag or a
+/// value an enumerated flag does not accept.
+void check_flags(const std::string& cmd, common::Options& opts,
+                 std::vector<std::string> known) {
+  known.insert(known.end(), {"json", "help"});
+  const std::string unknown = opts.declare(known);
+  if (!unknown.empty()) {
+    throw std::invalid_argument("unknown flag --" + unknown + " for " + cmd);
+  }
+  for (const auto& flag : known) {
+    const auto choices = flag_choices(cmd, flag);
+    if (choices.empty() || !opts.has(flag)) continue;
+    const std::string value = opts.get(flag, "");
+    if (std::find(choices.begin(), choices.end(), value) != choices.end()) {
+      continue;
+    }
+    std::string expected;
+    for (std::size_t i = 0; i < choices.size(); ++i) {
+      if (i > 0) expected += i + 1 == choices.size() ? " or " : ", ";
+      expected += choices[i];
+    }
+    throw std::invalid_argument("unknown --" + flag + "=" + value + " for " +
+                                cmd + " (expected " + expected + ")");
+  }
+}
+
 core::DecorParams params_from(const common::Options& opts) {
   core::DecorParams p;
   const double side = opts.get_double("side", 100.0);
@@ -217,6 +307,14 @@ std::unique_ptr<coverage::FieldRecorder> make_field_recorder(
   return rec;
 }
 
+/// Closes the --field-jsonl sink of an offline engine run; a failed
+/// write fails the command like an unopenable path does.
+void close_field_jsonl(coverage::FieldRecorder& rec) {
+  if (std::string failure = rec.close_jsonl(); !failure.empty()) {
+    throw std::runtime_error(failure);
+  }
+}
+
 core::EngineLimits field_limits(coverage::FieldRecorder* rec,
                                 std::size_t every) {
   core::EngineLimits limits;
@@ -247,6 +345,7 @@ int cmd_deploy(const common::Options& opts, CliReport& rep) {
   if (field_rec) {
     field_rec->snapshot(static_cast<double>(result.placed_nodes), field.map,
                         true);
+    close_field_jsonl(*field_rec);
     rep.add("field_snapshots",
             static_cast<std::uint64_t>(field_rec->snapshots().size()));
   }
@@ -307,6 +406,7 @@ int cmd_restore(const common::Options& opts, CliReport& rep) {
   if (field_rec) {
     field_rec->snapshot(static_cast<double>(restore.placed_nodes), field.map,
                         true);
+    close_field_jsonl(*field_rec);
     rep.add("field_snapshots",
             static_cast<std::uint64_t>(field_rec->snapshots().size()));
   }
@@ -414,10 +514,6 @@ int report_sim(const std::string& scheme, core::ProtocolHarness& harness,
 
 int cmd_sim(const common::Options& opts, CliReport& rep) {
   const std::string s = opts.get("scheme", "grid");
-  if (s != "grid" && s != "voronoi") {
-    throw std::invalid_argument("unknown --scheme=" + s +
-                                " for sim (expected grid or voronoi)");
-  }
   core::RunConfig cfg;
   cfg.params = params_from(opts);
   cfg.seed = static_cast<std::uint64_t>(opts.get_int("seed", 1));
@@ -574,7 +670,8 @@ int cmd_watch(int argc, char** argv, CliReport& rep) {
       break;
     }
   }
-  const common::Options opts(sep - 1, argv + 1);
+  common::Options opts(sep - 1, argv + 1);
+  check_flags("watch", opts, {"cols", "rows", "frames", "out", "plain"});
   core::WatchOptions wopts;
   wopts.cols = static_cast<std::size_t>(opts.get_int("cols", 72));
   wopts.rows = static_cast<std::size_t>(opts.get_int("rows", 20));
@@ -1359,7 +1456,22 @@ int main(int argc, char** argv) {
     return 1;
   }
   const std::string cmd = argv[1];
-  const common::Options opts(argc - 1, argv + 1);
+  common::Options opts(argc - 1, argv + 1);
+  // Flags are checked before any work starts: a typo must not run a
+  // whole experiment on a default value.
+  if (const auto it = subcommand_flags().find(cmd);
+      it != subcommand_flags().end()) {
+    try {
+      check_flags(cmd, opts, it->second);
+    } catch (const std::invalid_argument& e) {
+      std::cerr << "error: " << e.what() << '\n';
+      return 1;
+    }
+    if (opts.has("help")) {
+      usage();
+      return 0;
+    }
+  }
   const bool want_json = opts.has("json");
   if (want_json) {
     common::metrics().reset();
